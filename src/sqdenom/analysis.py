@@ -98,7 +98,7 @@ def _record(a: int) -> SweepRecord:
         sigma1=s1,
         upper=sigma_upper(a),
         on_bound=s == s1,
-        min_k=min_k(a),
+        min_k=min_k(a, s),
         t_first=t_set(a, s)[0],
     )
 

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 bad usage or invalid parameter values, 3 I/O
-failure.  All file output is byte-deterministic: rerunning a command with
-the same arguments reproduces identical bytes.
+failure, 4 an internal consistency check failed (a library defect,
+reported in one stderr line).  All file output is byte-deterministic:
+rerunning a command with the same arguments reproduces identical bytes.
 """
 
 from __future__ import annotations
@@ -23,10 +24,15 @@ from .analysis import (
     sweep,
     upward_closure_check,
 )
-from .confrac import first_rational_between, sqrt_cf
+from .confrac import (
+    first_pair_between,
+    first_rational_between,
+    is_first_rational_between,
+    sqrt_cf,
+)
 from .exactmath import is_perfect_square
 from .figures import generate_figures, heatmap_data, heatmap_svg
-from .sigmacore import sigma, t_set, tau
+from .sigmacore import ConsistencyError, sigma, t_set, tau
 
 SWEEP_COLUMNS = ["a", "sigma", "sigma1", "upper", "on_bound", "min_k", "t_first"]
 
@@ -53,13 +59,13 @@ def cmd_sigma(args) -> int:
     if args.strategy:
         print(sigma(args.a, strategy=args.strategy))
         return 0
-    by_scan = sigma(args.a, strategy="scan")
-    by_cf = sigma(args.a, strategy="cf")
-    if by_scan != by_cf:
-        raise RuntimeError(
-            f"strategy disagreement at a={args.a}: scan={by_scan} cf={by_cf}"
-        )
-    print(by_scan)
+    a = args.a
+    if a < 0:
+        raise ValueError("a must be >= 0")
+    t, s = first_pair_between(a, a + 1)
+    if not (is_first_rational_between(a, a + 1, t, s) and tau(a, s) == 1):
+        raise ConsistencyError(f"sigma certificate failed at a={a}: t={t} s={s}")
+    print(s)
     return 0
 
 
@@ -286,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sigma", help="least denominator for the interval (a, a+1)")
     p.add_argument("a", type=int)
     p.add_argument("--strategy", choices=["scan", "cf"], default=None,
-                   help="force one route; default cross-checks both")
+                   help="force one route; default certifies the cf answer")
     p.set_defaults(func=cmd_sigma)
 
     p = sub.add_parser("tau", help="count squares between s^2*a and s^2*(a+1)")
@@ -378,6 +384,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except ConsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -15,16 +15,23 @@ which exposes the exact bounding curves
     sigma_k(a) = floor(max(k*sigma_l, k*sigma_r)) + 1,
 
 with sigma_1(a) <= sigma(a) <= isqrt(4a+2) + 1.
+
+sigma(a) has one runtime route: s is the denominator that
+confrac.first_pair_between finds in (sqrt(a), sqrt(a+1)), in O(log a)
+exact integer steps.  sigma_scan, which tests tau upward from sigma_1(a),
+stays as the oracle; it is O(sqrt(a)) on families such as n^2+n-1, where
+sigma is about n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .confrac import first_rational_between
+from .confrac import first_pair_between
 from .exactmath import INFINITY, Surd, is_perfect_square, isqrt, surd_cmp
 
 __all__ = [
+    "ConsistencyError",
     "Decomposition",
     "decompose",
     "tau",
@@ -42,6 +49,10 @@ __all__ = [
     "ZeroWindow",
     "zero_windows",
 ]
+
+
+class ConsistencyError(RuntimeError):
+    """An exact internal cross-check failed: a library defect, not bad input."""
 
 
 @dataclass(frozen=True)
@@ -175,14 +186,17 @@ def sigma_scan(a: int, start: int | None = None) -> int:
     return s
 
 
-def sigma(a: int, strategy: str = "scan") -> int:
-    """Least denominator s >= 2 such that some t/s squares into (a, a+1)."""
-    if strategy == "scan":
-        return sigma_scan(a)
+def sigma(a: int, strategy: str = "cf") -> int:
+    """Least denominator s >= 2 such that some t/s squares into (a, a+1).
+
+    "cf" reads s from the continued-fraction kernel; "scan" is sigma_scan.
+    """
     if strategy == "cf":
         if a < 0:
             raise ValueError("a must be >= 0")
-        return first_rational_between(a, a + 1).denominator
+        return first_pair_between(a, a + 1)[1]
+    if strategy == "scan":
+        return sigma_scan(a)
     raise ValueError(f"unknown strategy: {strategy!r}")
 
 
@@ -208,16 +222,17 @@ def on_bound_criterion(a: int) -> bool:
     return left or right
 
 
-def min_k(a: int) -> int:
-    """Least k >= 1 with sigma_k(a) = sigma(a).
+def min_k(a: int, s: int | None = None) -> int:
+    """Least k >= 1 with sigma_k(a) = sigma(a); pass s = sigma(a) if known.
 
     Bounded by sigma(a): sigma_k >= k+1 always, so larger k cannot match.
     """
-    s = sigma(a)
+    if s is None:
+        s = sigma(a)
     for k in range(1, s + 1):
         if sigma_k(a, k) == s:
             return k
-    raise RuntimeError(f"no curve index k <= {s} matches sigma({a})")
+    raise ConsistencyError(f"no curve index k <= {s} matches sigma({a})")
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from sqdenom import cli, sigmacore
 from sqdenom.cli import main
 
 
@@ -18,6 +19,26 @@ def test_sigma_command(capsys):
     assert run(capsys, "sigma", "991") == (0, "27\n", "")
     assert run(capsys, "sigma", "8", "--strategy", "scan") == (0, "6\n", "")
     assert run(capsys, "sigma", "8", "--strategy", "cf") == (0, "6\n", "")
+
+
+def test_sigma_command_large_a(capsys):
+    # n^2 + n - 1 with n = 10^10: the scan route needs about 10^10 tau calls
+    a = 10**20 + 10**10 - 1
+    assert run(capsys, "sigma", str(a)) == (0, "8000000001\n", "")
+    code, out, _ = run(capsys, "first-square", str(a))
+    assert code == 0 and out.endswith("(t=80000000014000000000, s=8000000001)\n")
+
+
+def test_consistency_failures_exit_four(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "first_pair_between", lambda x, y: (850, 28))
+    code, out, err = run(capsys, "sigma", "991")
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error:") and err.count("\n") == 1
+    # a curve family that never reaches sigma leaves min_k without an index
+    monkeypatch.setattr(sigmacore, "sigma_k", lambda a, k: 0)
+    code, out, err = run(capsys, "sweep", "--from", "1", "--to", "3", "--jobs", "1")
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error: no curve index") and err.count("\n") == 1
 
 
 def test_point_queries(capsys):

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from sqdenom.confrac import (
     CFExpansion,
     convergent,
+    first_pair_between,
     first_rational_between,
+    is_first_rational_between,
     sqrt_cf,
     stern_brocot_between,
 )
@@ -139,3 +141,43 @@ def test_first_rational_general_intervals(x, gap):
     f = first_rational_between(x, y)
     assert x < f * f < y
     assert f == brute_first_rational(x, y, s_limit=500)
+
+
+_radicands = st.one_of(
+    st.integers(min_value=0, max_value=5000),
+    st.integers(min_value=0, max_value=70).map(lambda n: n * n),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_radicands, _radicands)
+def test_kernel_matches_mediant_descent(x, y):
+    # squares at either end and x = 0 are drawn often by _radicands
+    if x == y:
+        return
+    x, y = min(x, y), max(x, y)
+    t, s = first_pair_between(x, y)
+    assert Fraction(t, s) == stern_brocot_between(x, y), (x, y)
+    assert is_first_rational_between(x, y, t, s), (x, y)
+
+
+def test_kernel_edge_intervals():
+    assert first_pair_between(0, 1) == (1, 2)
+    assert first_pair_between(0, 2) == (1, 1)
+    assert first_pair_between(4, 9) == (5, 2)
+    assert first_pair_between(1, 16) == (2, 1)
+    for bad in [(5, 5), (9, 2), (-1, 4), (0, -1)]:
+        with pytest.raises(ValueError):
+            first_pair_between(*bad)
+
+
+def test_certificate_rejects_wrong_answers():
+    # first_rational_between(991, 992) == 850/27
+    assert is_first_rational_between(991, 992, 850, 27)
+    for t, s in [(1700, 54), (851, 27), (850, 28), (63, 2), (32, 1), (0, 1), (850, 0)]:
+        assert not is_first_rational_between(991, 992, t, s), (t, s)
+    # inside, but not of least denominator: the interval also holds 3/2
+    assert Fraction(8, 5) ** 2 < 3 and not is_first_rational_between(2, 3, 8, 5)
+    # several integers inside: only the smallest is first
+    assert is_first_rational_between(0, 9, 1, 1)
+    assert not is_first_rational_between(0, 9, 2, 1)

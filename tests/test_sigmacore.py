@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqdenom.confrac import first_pair_between, is_first_rational_between
 from sqdenom.exactmath import Surd, cmp_int_vs_sum_sqrt, floor_surd, surd_cmp
 from sqdenom.sigmacore import (
     Decomposition,
@@ -127,6 +128,20 @@ def test_sigma_strategies_agree():
         sigma(-1, "cf")
 
 
+@pytest.mark.parametrize("n", [10**3, 10**6, 10**25, 10**150])
+def test_sigma_on_worst_case_families(n):
+    # closed forms: n + 1/(2n+1) and n - 1/(2n) square into the intervals
+    assert first_pair_between(n * n, n * n + 1) == (2 * n * n + n + 1, 2 * n + 1)
+    assert sigma(n * n) == 2 * n + 1
+    assert first_pair_between(n * n - 1, n * n) == (2 * n * n - 1, 2 * n)
+    assert sigma(n * n - 1) == 2 * n
+    for a in (n * n + n - 1, n * n + 7):
+        t, s = first_pair_between(a, a + 1)
+        assert is_first_rational_between(a, a + 1, t, s), a
+        assert tau(a, s) == 1 and tau(a, s - 1) == 0, a
+        assert sigma(a) == s
+
+
 def test_sigma_scan_start_override():
     for a in range(0, 201):
         assert sigma_scan(a, start=2) == sigma(a)
@@ -201,6 +216,11 @@ def test_min_k_examples():
     assert min_k(19) == 2
     assert min_k(991) == 13
     assert min_k(0) == 1
+
+
+def test_min_k_accepts_known_sigma():
+    for a in range(0, 2001):
+        assert min_k(a, sigma(a)) == min_k(a), a
 
 
 def test_min_k_is_minimal():
