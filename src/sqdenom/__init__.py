@@ -45,7 +45,6 @@ from .sigmacore import (
     sigma_l,
     sigma_lower,
     sigma_r,
-    sigma_scan,
     sigma_upper,
     t_set,
     tau,

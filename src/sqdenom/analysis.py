@@ -10,6 +10,7 @@ modules and their tests.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -104,11 +105,15 @@ def _record(a: int) -> SweepRecord:
 
 
 def sweep(a_from: int, a_to: int, jobs: int | None = None) -> list[SweepRecord]:
-    """Records for a_from..a_to inclusive, in order regardless of jobs."""
+    """Records for a_from..a_to inclusive, in order regardless of jobs.
+
+    The pool never exceeds os.cpu_count() workers, whatever jobs asks for.
+    """
     if a_from < 1 or a_to < a_from:
         raise ValueError("need 1 <= a_from <= a_to")
     values = range(a_from, a_to + 1)
-    if jobs is None or jobs <= 1 or len(values) < 64:
+    jobs = min(jobs or 1, os.cpu_count() or 1)
+    if jobs <= 1 or len(values) < 64:
         return [_record(a) for a in values]
     chunk = max(1, len(values) // (jobs * 8))
     with multiprocessing.Pool(jobs) as pool:
@@ -227,7 +232,7 @@ def k_set(n: int, convention: str = "minimal") -> set[int]:
     for a in range(n * n + 1, (n + 1) ** 2):
         s = sigma(a)
         if convention == "minimal":
-            ks.add(min_k(a))
+            ks.add(min_k(a, s))
         else:
             for k in range(1, s + 1):
                 if sigma_k(a, k) == s:

@@ -24,15 +24,10 @@ from .analysis import (
     sweep,
     upward_closure_check,
 )
-from .confrac import (
-    first_pair_between,
-    first_rational_between,
-    is_first_rational_between,
-    sqrt_cf,
-)
+from .confrac import first_pair_between, is_first_rational_between, sqrt_cf
 from .exactmath import is_perfect_square
 from .figures import generate_figures, heatmap_data, heatmap_svg
-from .sigmacore import ConsistencyError, sigma, t_set, tau
+from .sigmacore import ConsistencyError, t_set, tau
 
 SWEEP_COLUMNS = ["a", "sigma", "sigma1", "upper", "on_bound", "min_k", "t_first"]
 
@@ -55,17 +50,19 @@ def _frac_fields(f: Fraction) -> dict:
     return {"exact": f"{f.numerator}/{f.denominator}", "approx": f"{float(f):.6f}"}
 
 
-def cmd_sigma(args) -> int:
-    if args.strategy:
-        print(sigma(args.a, strategy=args.strategy))
-        return 0
-    a = args.a
+def _certified_first_pair(a: int) -> tuple[int, int]:
+    """The kernel's (t, s) for (a, a+1), once the Stern-Brocot certificate
+    and tau(a, s) = 1 have confirmed it."""
     if a < 0:
         raise ValueError("a must be >= 0")
     t, s = first_pair_between(a, a + 1)
     if not (is_first_rational_between(a, a + 1, t, s) and tau(a, s) == 1):
         raise ConsistencyError(f"sigma certificate failed at a={a}: t={t} s={s}")
-    print(s)
+    return t, s
+
+
+def cmd_sigma(args) -> int:
+    print(_certified_first_pair(args.a)[1])
     return 0
 
 
@@ -81,8 +78,7 @@ def cmd_tset(args) -> int:
 
 
 def cmd_first_square(args) -> int:
-    frac = first_rational_between(args.a, args.a + 1)
-    t, s = frac.numerator, frac.denominator
+    t, s = _certified_first_pair(args.a)
     print(f"{t * t}/{s * s} (t={t}, s={s})")
     return 0
 
@@ -124,10 +120,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
-    if args.format == "svg":
-        _emit(args.out, heatmap_svg(args.mode, args.a_min, args.a_max, args.s_min, args.s_max))
-        return 0
     header, rows = heatmap_data(args.mode, args.a_min, args.a_max, args.s_min, args.s_max)
+    if args.format == "svg":
+        _emit(args.out, heatmap_svg(args.mode, rows))
+        return 0
     fh, close = _open_out(args.out)
     try:
         writer = csv.writer(fh, lineterminator="\n")
@@ -289,10 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sigma", help="least denominator for the interval (a, a+1)")
+    p = sub.add_parser("sigma", help="least denominator for (a, a+1), certified")
     p.add_argument("a", type=int)
-    p.add_argument("--strategy", choices=["scan", "cf"], default=None,
-                   help="force one route; default certifies the cf answer")
     p.set_defaults(func=cmd_sigma)
 
     p = sub.add_parser("tau", help="count squares between s^2*a and s^2*(a+1)")
@@ -305,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("s", type=int)
     p.set_defaults(func=cmd_tset)
 
-    p = sub.add_parser("first-square", help="first rational square inside (a, a+1)")
+    p = sub.add_parser("first-square", help="first rational square inside (a, a+1), certified")
     p.add_argument("a", type=int)
     p.set_defaults(func=cmd_first_square)
 
@@ -318,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="a_to", type=int, required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", default=None)
-    p.add_argument("--jobs", type=int, default=os.cpu_count())
+    p.add_argument("--jobs", type=int, default=os.cpu_count(),
+                   help="worker processes, capped at the CPU count")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("heatmap", help="tau or tau-step grid")

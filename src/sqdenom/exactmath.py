@@ -3,7 +3,9 @@
 Every decision made by this library reduces to integer comparisons; no
 floating point is consulted anywhere.  The central value type is Surd, an
 exact (p + q*sqrt(d))/r with q >= 0 and r >= 1, plus a distinguished
-+infinity used for degenerate frames.  Ordering two surds is resolved by
++infinity used for degenerate frames.  A Surd keeps the form it was built
+with: comparisons and floors work on the value, so equal values written in
+different forms compare equal.  Ordering two surds is resolved by
 isolate-and-square steps with explicit sign bookkeeping, which stays exact
 because at most two distinct radicals ever meet in one comparison.
 """
@@ -11,7 +13,7 @@ because at most two distinct radicals ever meet in one comparison.
 from __future__ import annotations
 
 import functools
-from math import gcd, isqrt
+from math import isqrt
 
 __all__ = [
     "isqrt",
@@ -32,27 +34,12 @@ def is_perfect_square(n: int) -> int | None:
     return r if r * r == n else None
 
 
-def _sieve(limit: int) -> tuple[int, ...]:
-    flags = bytearray([1]) * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = b"\x00" * len(flags[p * p :: p])
-    return tuple(i for i, f in enumerate(flags) if f)
-
-
-# Enough to pull every square factor out of radicands up to 10**6; larger
-# radicands keep comparisons exact but may not reach the fully reduced form.
-_TRIAL_PRIMES = _sieve(1000)
-
-
 @functools.total_ordering
 class Surd:
     """Exact (p + q*sqrt(d))/r with q >= 0, r >= 1, or +infinity.
 
-    Construction canonicalizes: a perfect-square radicand folds into the
-    integer part, square factors of d migrate into q, and gcd(p, q, r) is
-    divided through.  Comparisons never rely on the canonical form.
+    The form is stored as given (a zero q or d stores both as 0); nothing
+    is reduced, because comparisons and floors act on the value alone.
     """
 
     __slots__ = ("p", "q", "d", "r", "_inf")
@@ -66,30 +53,11 @@ class Surd:
             raise ValueError("surd radicand must be nonnegative")
         if q == 0 or d == 0:
             q = d = 0
-        else:
-            root = is_perfect_square(d)
-            if root is not None:
-                p, q, d = p + q * root, 0, 0
-            else:
-                for f in _TRIAL_PRIMES:
-                    f2 = f * f
-                    if f2 > d:
-                        break
-                    while d % f2 == 0:
-                        d //= f2
-                        q *= f
-        g = gcd(p, q, r)
-        if g > 1:
-            p, q, r = p // g, q // g, r // g
         self.p = p
         self.q = q
         self.d = d
         self.r = r
         self._inf = False
-
-    @classmethod
-    def sqrt(cls, d: int) -> "Surd":
-        return cls(0, 1, d, 1)
 
     @classmethod
     def _infinity(cls) -> "Surd":

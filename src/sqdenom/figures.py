@@ -67,19 +67,6 @@ def _scatter_sigma(title, points, curves=None, width=760, height=420):
     return svg.close_svg(parts)
 
 
-def _heatmap(title, a_lo, a_hi, s_lo, s_hi, fill_of, width=820, height=460):
-    frame = svg.Frame(width, height, a_lo - 0.5, a_hi + 0.5, s_lo - 0.5, s_hi + 0.5)
-    parts = svg.open_svg(frame, title)
-    cells = (
-        (a, s, fill_of(a, s))
-        for a in range(a_lo, a_hi + 1)
-        for s in range(s_lo, s_hi + 1)
-    )
-    svg.draw_cells(parts, frame, cells)
-    svg.draw_axes(parts, frame, "a", "s")
-    return svg.close_svg(parts)
-
-
 def _gray(level: float) -> str:
     # 0 -> white, 1 -> black
     v = round(255 * (1 - level))
@@ -116,7 +103,10 @@ def _delta_fill(d: int) -> str:
 
 
 def heatmap_data(mode: str, a_lo: int, a_hi: int, s_lo: int, s_hi: int):
-    """(header, rows) for a tau or tau-step grid, sorted by a then s."""
+    """(header, rows) for a tau or tau-step grid, sorted by a then s.
+
+    Delta mode carries tau(a, s-1) along each a, so every cell costs one tau.
+    """
     if mode not in ("tau", "delta"):
         raise ValueError(f"unknown heatmap mode: {mode!r}")
     if a_lo < 1 or a_hi < a_lo:
@@ -127,36 +117,44 @@ def heatmap_data(mode: str, a_lo: int, a_hi: int, s_lo: int, s_hi: int):
         raise ValueError("delta mode needs s-min >= 2")
     rows = []
     for a in range(a_lo, a_hi + 1):
-        for s in range(s_lo, s_hi + 1):
-            if mode == "tau":
-                rows.append((a, s, tau(a, s)))
-            else:
-                rows.append((a, s, tau(a, s) - tau(a, s - 1)))
+        if mode == "tau":
+            rows.extend((a, s, tau(a, s)) for s in range(s_lo, s_hi + 1))
+        else:
+            prev = tau(a, s_lo - 1)
+            for s in range(s_lo, s_hi + 1):
+                cur = tau(a, s)
+                rows.append((a, s, cur - prev))
+                prev = cur
     return ["a", "s", mode], rows
 
 
-def heatmap_svg(mode: str, a_lo: int, a_hi: int, s_lo: int, s_hi: int) -> str:
-    _, rows = heatmap_data(mode, a_lo, a_hi, s_lo, s_hi)
-    value = {(a, s): v for a, s, v in rows}
+def heatmap_svg(mode: str, rows) -> str:
+    """Draw the rows of heatmap_data(mode, ...); the grid spans the first
+    row's (a, s) to the last row's."""
+    (a_lo, s_lo, _), (a_hi, s_hi, _) = rows[0], rows[-1]
     if mode == "tau":
         title = "tau(a, s): white 0, black >= 10"
-        fill_of = lambda a, s: _gray(min(value[(a, s)], 10) / 10)
+        cells = ((a, s, _gray(min(v, 10) / 10)) for a, s, v in rows)
     else:
         title = "tau(a, s) - tau(a, s-1): black +1, red -1, white 0"
-        fill_of = lambda a, s: _delta_fill(value[(a, s)])
-    return _heatmap(title, a_lo, a_hi, s_lo, s_hi, fill_of)
+        cells = ((a, s, _delta_fill(v)) for a, s, v in rows)
+    frame = svg.Frame(820, 460, a_lo - 0.5, a_hi + 0.5, s_lo - 0.5, s_hi + 0.5)
+    parts = svg.open_svg(frame, title)
+    svg.draw_cells(parts, frame, cells)
+    svg.draw_axes(parts, frame, "a", "s")
+    return svg.close_svg(parts)
 
 
 def _fig3(out_dir: Path) -> None:
     header, rows = heatmap_data("tau", 8, 256, 2, 100)
     _write_csv(out_dir / "fig3.csv", header, rows)
-    _write_svg(out_dir / "fig3.svg", heatmap_svg("tau", 8, 256, 2, 100))
+    _write_svg(out_dir / "fig3.svg", heatmap_svg("tau", rows))
 
 
 def _fig4(out_dir: Path) -> None:
     header, rows = heatmap_data("delta", 1, 256, 2, 100)
     _write_csv(out_dir / "fig4.csv", header, rows)
-    _write_svg(out_dir / "fig4.svg", heatmap_svg("delta", 1, 256, 2, 100))
+    _write_svg(out_dir / "fig4.svg", heatmap_svg("delta", rows))
 
 
 def _fig5(out_dir: Path) -> None:

@@ -16,11 +16,9 @@ which exposes the exact bounding curves
 
 with sigma_1(a) <= sigma(a) <= isqrt(4a+2) + 1.
 
-sigma(a) has one runtime route: s is the denominator that
-confrac.first_pair_between finds in (sqrt(a), sqrt(a+1)), in O(log a)
-exact integer steps.  sigma_scan, which tests tau upward from sigma_1(a),
-stays as the oracle; it is O(sqrt(a)) on families such as n^2+n-1, where
-sigma is about n.
+sigma(a) is the denominator that confrac.first_pair_between finds in
+(sqrt(a), sqrt(a+1)), in O(log a) exact integer steps.  tau_brute stays
+as the oracle for tau.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .confrac import first_pair_between
-from .exactmath import INFINITY, Surd, is_perfect_square, isqrt, surd_cmp
+from .exactmath import INFINITY, Surd, isqrt, surd_cmp
 
 __all__ = [
     "ConsistencyError",
@@ -38,7 +36,6 @@ __all__ = [
     "tau_brute",
     "t_set",
     "sigma",
-    "sigma_scan",
     "sigma_l",
     "sigma_r",
     "sigma_k",
@@ -88,16 +85,12 @@ def _check_pair(a: int, s: int) -> None:
 def tau(a: int, s: int) -> int:
     """Number of integers t with s^2*a < t^2 < s^2*(a+1).
 
-    isqrt(s^2*(a+1)) - isqrt(s^2*a) counts squares in the half-open window
-    (s^2*a, s^2*(a+1)]; the upper end is itself a square exactly when a+1
-    is, in which case one candidate must be dropped to keep both
-    inequalities strict.
+    isqrt(s^2*(a+1) - 1) is the largest t with t^2 < s^2*(a+1), so the
+    difference with isqrt(s^2*a) counts the open window whether or not
+    either end is a square.
     """
     _check_pair(a, s)
-    hi = isqrt(s * s * (a + 1))
-    if is_perfect_square(a + 1) is not None:
-        hi -= 1
-    return hi - isqrt(s * s * a)
+    return isqrt(s * s * (a + 1) - 1) - isqrt(s * s * a)
 
 
 def tau_brute(a: int, s: int) -> int:
@@ -117,13 +110,7 @@ def tau_brute(a: int, s: int) -> int:
 def t_set(a: int, s: int) -> list[int]:
     """The witnesses themselves: ascending t with s^2*a < t^2 < s^2*(a+1)."""
     _check_pair(a, s)
-    lo = s * s * a
-    hi = s * s * (a + 1)
-    t_lo = isqrt(lo) + 1
-    t_hi = isqrt(hi)
-    if t_hi * t_hi == hi:
-        t_hi -= 1
-    return list(range(t_lo, t_hi + 1))
+    return list(range(isqrt(s * s * a) + 1, isqrt(s * s * (a + 1) - 1) + 1))
 
 
 def sigma_l(a: int) -> Surd:
@@ -170,34 +157,11 @@ def sigma_upper(a: int) -> int:
     return isqrt(4 * a + 2) + 1
 
 
-def sigma_scan(a: int, start: int | None = None) -> int:
-    """Least s with tau(a, s) > 0, scanning upward from start.
-
-    The default start is sigma_lower(a), which never overshoots; passing
-    start=2 re-derives the same value the slow way.
-    """
+def sigma(a: int) -> int:
+    """Least denominator s >= 2 such that some t/s squares into (a, a+1)."""
     if a < 0:
         raise ValueError("a must be >= 0")
-    s = sigma_lower(a) if start is None else start
-    if s < 2:
-        s = 2
-    while tau(a, s) == 0:
-        s += 1
-    return s
-
-
-def sigma(a: int, strategy: str = "cf") -> int:
-    """Least denominator s >= 2 such that some t/s squares into (a, a+1).
-
-    "cf" reads s from the continued-fraction kernel; "scan" is sigma_scan.
-    """
-    if strategy == "cf":
-        if a < 0:
-            raise ValueError("a must be >= 0")
-        return first_pair_between(a, a + 1)[1]
-    if strategy == "scan":
-        return sigma_scan(a)
-    raise ValueError(f"unknown strategy: {strategy!r}")
+    return first_pair_between(a, a + 1)[1]
 
 
 def on_bound_criterion(a: int) -> bool:

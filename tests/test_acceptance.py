@@ -34,6 +34,8 @@ from sqdenom import (
 )
 from sqdenom.analysis import tau_profile
 
+from conftest import brute_first_rational
+
 
 def _verdict(capsys, num, ok, detail):
     with capsys.disabled():
@@ -102,10 +104,10 @@ def test_criterion_04_oracle_equivalence(capsys):
         for s in range(1, 301):
             assert tau(a, s) == tau_brute(a, s), (a, s)
     for a in range(1, 5001):
-        assert sigma(a, "scan") == sigma(a, "cf"), a
+        assert sigma(a) == brute_first_rational(a, a + 1).denominator, a
     elapsed = time.perf_counter() - t0
     ok = elapsed < 60
-    _verdict(capsys, 4, ok, f"tau oracle 200x300 and dual sigma to 5000, {elapsed:.2f} s")
+    _verdict(capsys, 4, ok, f"tau oracle 200x300 and sigma vs brute scan to 5000, {elapsed:.2f} s")
     assert ok
 
 

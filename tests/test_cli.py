@@ -17,8 +17,6 @@ def run(capsys, *argv):
 
 def test_sigma_command(capsys):
     assert run(capsys, "sigma", "991") == (0, "27\n", "")
-    assert run(capsys, "sigma", "8", "--strategy", "scan") == (0, "6\n", "")
-    assert run(capsys, "sigma", "8", "--strategy", "cf") == (0, "6\n", "")
 
 
 def test_sigma_command_large_a(capsys):
@@ -31,9 +29,10 @@ def test_sigma_command_large_a(capsys):
 
 def test_consistency_failures_exit_four(capsys, monkeypatch):
     monkeypatch.setattr(cli, "first_pair_between", lambda x, y: (850, 28))
-    code, out, err = run(capsys, "sigma", "991")
-    assert (code, out) == (4, "")
-    assert err.startswith("internal error:") and err.count("\n") == 1
+    for command in ("sigma", "first-square"):
+        code, out, err = run(capsys, command, "991")
+        assert (code, out) == (4, "")
+        assert err.startswith("internal error:") and err.count("\n") == 1
     # a curve family that never reaches sigma leaves min_k without an index
     monkeypatch.setattr(sigmacore, "sigma_k", lambda a, k: 0)
     code, out, err = run(capsys, "sweep", "--from", "1", "--to", "3", "--jobs", "1")
@@ -103,6 +102,9 @@ def test_heatmap_delta_csv(capsys):
     rows = list(csv.reader(out.splitlines()))
     assert rows[0] == ["a", "s", "delta"]
     assert {r[2] for r in rows[1:]} <= {"-1", "0", "1"}
+    assert len(rows) == 1 + 20 * 29
+    for a, s, v in (map(int, r) for r in rows[1:]):
+        assert v == sigmacore.tau(a, s) - sigmacore.tau(a, s - 1), (a, s)
 
 
 def test_heatmap_svg(capsys):

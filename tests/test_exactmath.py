@@ -49,18 +49,13 @@ def test_is_perfect_square():
     assert is_perfect_square(-4) is None
 
 
-def test_surd_canonicalization():
-    # perfect-square radicand folds into the integer part
-    x = Surd(2, 1, 9, 5)
-    assert (x.p, x.q, x.d, x.r) == (1, 0, 0, 1)
-    # square factors migrate out of the radicand
-    y = Surd(0, 1, 8)
-    assert (y.q, y.d) == (2, 2)
-    z = Surd(4, 2, 18, 6)
-    assert (z.p, z.q, z.d, z.r) == (2, 3, 2, 3)
-    # common factor divides through
-    w = Surd(6, 0, 0, 4)
-    assert (w.p, w.r) == (3, 2)
+def test_surd_forms_compare_by_value():
+    # a perfect-square radicand, a square factor in the radicand and a
+    # common factor all leave the value, and so equality, unchanged
+    assert Surd(2, 1, 9, 5) == Surd(1)
+    assert Surd(0, 1, 8) == Surd(0, 2, 2)
+    assert Surd(4, 2, 18, 6) == Surd(2, 3, 2, 3)
+    assert Surd(6, 0, 0, 4) == Surd(3, 0, 0, 2)
 
 
 def test_surd_validation():
@@ -82,7 +77,7 @@ def test_surd_is_not_hashable():
 def test_surd_repr_and_infinity():
     assert repr(Surd(5)) == "Surd(5)"
     assert repr(Surd(1, 0, 0, 2)) == "Surd(1/2)"
-    assert "sqrt(2)" in repr(Surd(3, 1, 8))
+    assert repr(Surd(3, 1, 8)) == "Surd((3+1*sqrt(8))/1)"
     assert INFINITY.is_infinite
     assert not Surd(3).is_infinite
     with pytest.raises(ValueError):

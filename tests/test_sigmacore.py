@@ -16,13 +16,14 @@ from sqdenom.sigmacore import (
     sigma_l,
     sigma_lower,
     sigma_r,
-    sigma_scan,
     sigma_upper,
     t_set,
     tau,
     tau_brute,
     zero_windows,
 )
+
+from conftest import brute_first_rational
 
 
 def test_decompose_examples():
@@ -117,15 +118,11 @@ def test_sigma_examples():
     assert sigma(991) == 27
 
 
-def test_sigma_strategies_agree():
+def test_sigma_matches_brute_scan():
     for a in range(0, 301):
-        assert sigma(a, "scan") == sigma(a, "cf"), a
-    with pytest.raises(ValueError):
-        sigma(8, "guess")
+        assert sigma(a) == brute_first_rational(a, a + 1).denominator, a
     with pytest.raises(ValueError):
         sigma(-1)
-    with pytest.raises(ValueError):
-        sigma(-1, "cf")
 
 
 @pytest.mark.parametrize("n", [10**3, 10**6, 10**25, 10**150])
@@ -140,11 +137,6 @@ def test_sigma_on_worst_case_families(n):
         assert is_first_rational_between(a, a + 1, t, s), a
         assert tau(a, s) == 1 and tau(a, s - 1) == 0, a
         assert sigma(a) == s
-
-
-def test_sigma_scan_start_override():
-    for a in range(0, 201):
-        assert sigma_scan(a, start=2) == sigma(a)
 
 
 def test_sigma_bound_surds():
