@@ -118,11 +118,27 @@ def test_sigma_examples():
     assert sigma(991) == 27
 
 
-def test_sigma_matches_brute_scan():
+def test_sigma_strategies_agree():
+    # the kernel against the library-free denominator-first scan
     for a in range(0, 301):
         assert sigma(a) == brute_first_rational(a, a + 1).denominator, a
     with pytest.raises(ValueError):
         sigma(-1)
+
+
+def _first_tau_hit(a, start):
+    s = max(start, 2)
+    while tau(a, s) == 0:
+        s += 1
+    return s
+
+
+def test_sigma_scan_start_override():
+    # an upward tau scan reaches sigma(a) from s = 2 and from sigma_lower(a),
+    # so the lower bound never overshoots
+    for a in range(0, 201):
+        assert _first_tau_hit(a, 2) == sigma(a), a
+        assert _first_tau_hit(a, sigma_lower(a)) == sigma(a), a
 
 
 @pytest.mark.parametrize("n", [10**3, 10**6, 10**25, 10**150])
