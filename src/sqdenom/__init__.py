@@ -27,7 +27,6 @@ from .confrac import CFExpansion, convergent, first_rational_between, sqrt_cf, s
 from .exactmath import (
     INFINITY,
     Surd,
-    cmp_int_vs_sum_sqrt,
     floor_surd,
     is_perfect_square,
     isqrt,
@@ -48,7 +47,6 @@ from .sigmacore import (
     sigma_upper,
     t_set,
     tau,
-    tau_brute,
     zero_windows,
 )
 

@@ -9,8 +9,6 @@ modules and their tests.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -104,20 +102,15 @@ def _record(a: int) -> SweepRecord:
     )
 
 
-def sweep(a_from: int, a_to: int, jobs: int | None = None) -> list[SweepRecord]:
-    """Records for a_from..a_to inclusive, in order regardless of jobs.
+def sweep(a_from: int, a_to: int) -> list[SweepRecord]:
+    """Records for a_from..a_to inclusive, in order, one after another.
 
-    The pool never exceeds os.cpu_count() workers, whatever jobs asks for.
+    A row is tens of microseconds of exact integer work, less than sending
+    it to a worker process and back would cost, so no pool is used.
     """
     if a_from < 1 or a_to < a_from:
         raise ValueError("need 1 <= a_from <= a_to")
-    values = range(a_from, a_to + 1)
-    jobs = min(jobs or 1, os.cpu_count() or 1)
-    if jobs <= 1 or len(values) < 64:
-        return [_record(a) for a in values]
-    chunk = max(1, len(values) // (jobs * 8))
-    with multiprocessing.Pool(jobs) as pool:
-        return pool.map(_record, values, chunksize=chunk)
+    return [_record(a) for a in range(a_from, a_to + 1)]
 
 
 def on_bound_fraction(a_from: int, a_to: int) -> Fraction:
@@ -163,6 +156,8 @@ def symmetry_report(
     """Per-trough symmetry ratios plus the aggregate over all compared offsets."""
     if n_min < 2 or n_max < n_min:
         raise ValueError("need 2 <= n_min <= n_max")
+    if d_max is not None and d_max < 1:
+        raise ValueError("d_max must be >= 1")
     per_n = []
     hits = total = 0
     for n in range(n_min, n_max + 1):

@@ -11,11 +11,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
+from dataclasses import asdict, fields
 from fractions import Fraction
 
 from .analysis import (
+    SweepRecord,
     conjecture1_search,
     k_set,
     offbound_minima,
@@ -28,8 +29,6 @@ from .confrac import first_pair_between, is_first_rational_between, sqrt_cf
 from .exactmath import is_perfect_square
 from .figures import generate_figures, heatmap_data, heatmap_svg
 from .sigmacore import ConsistencyError, t_set, tau
-
-SWEEP_COLUMNS = ["a", "sigma", "sigma1", "upper", "on_bound", "min_k", "t_first"]
 
 
 def _open_out(path: str | None):
@@ -89,26 +88,15 @@ def cmd_cf(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    records = sweep(args.a_from, args.a_to, jobs=args.jobs)
+    records = sweep(args.a_from, args.a_to)
     if args.format == "json":
-        payload = [
-            {
-                "a": r.a,
-                "sigma": r.sigma,
-                "sigma1": r.sigma1,
-                "upper": r.upper,
-                "on_bound": r.on_bound,
-                "min_k": r.min_k,
-                "t_first": r.t_first,
-            }
-            for r in records
-        ]
+        payload = [asdict(r) for r in records]
         _emit(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return 0
     fh, close = _open_out(args.out)
     try:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SWEEP_COLUMNS)
+        writer.writerow(f.name for f in fields(SweepRecord))
         for r in records:
             writer.writerow(
                 [r.a, r.sigma, r.sigma1, r.upper, int(r.on_bound), r.min_k, r.t_first]
@@ -312,8 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="a_to", type=int, required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", default=None)
-    p.add_argument("--jobs", type=int, default=os.cpu_count(),
-                   help="worker processes, capped at the CPU count")
+    # Inert: sweeps run in one process.  Kept so command lines that still
+    # pass it keep working.
+    p.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("heatmap", help="tau or tau-step grid")

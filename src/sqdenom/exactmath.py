@@ -22,7 +22,6 @@ __all__ = [
     "INFINITY",
     "floor_surd",
     "surd_cmp",
-    "cmp_int_vs_sum_sqrt",
 ]
 
 
@@ -152,22 +151,3 @@ def surd_cmp(x: Surd, y: Surd) -> int:
     k = x.p * y.r - y.p * x.r
     return _sign_two_radicals(k, x.q * y.r, x.d, y.q * x.r, y.d)
 
-
-def cmp_int_vs_sum_sqrt(s: int, k: int, a: int) -> int:
-    """Exact sign of s - k*(sqrt(a) + sqrt(a+1)).
-
-    Never zero: a*a + a lies strictly between consecutive squares for
-    a >= 1, so the sum of roots is irrational.  Squaring once reduces the
-    question to s*s versus k*k*(2a+1) + 2*k*k*sqrt(a*a+a); squaring again
-    settles it in integers.
-    """
-    if a < 1:
-        raise ValueError("a must be >= 1")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    lhs = s * s - k * k * (2 * a + 1)
-    if lhs <= 0:
-        return -1
-    return 1 if lhs * lhs > 4 * k**4 * (a * a + a) else -1

@@ -17,13 +17,13 @@ which exposes the exact bounding curves
 with sigma_1(a) <= sigma(a) <= isqrt(4a+2) + 1.
 
 sigma(a) is the denominator that confrac.first_pair_between finds in
-(sqrt(a), sqrt(a+1)), in O(log a) exact integer steps.  tau_brute stays
-as the oracle for tau.
+(sqrt(a), sqrt(a+1)), in O(log a) exact integer steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .confrac import first_pair_between
 from .exactmath import INFINITY, Surd, isqrt, surd_cmp
@@ -33,7 +33,6 @@ __all__ = [
     "Decomposition",
     "decompose",
     "tau",
-    "tau_brute",
     "t_set",
     "sigma",
     "sigma_l",
@@ -52,8 +51,10 @@ class ConsistencyError(RuntimeError):
     """An exact internal cross-check failed: a library defect, not bad input."""
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
+    """a = n^2 + b = m^2 - c.  A tuple, not a frozen dataclass: sigma_k
+    builds one per call, and a tuple costs under half as much to make."""
+
     a: int
     n: int
     b: int
@@ -91,20 +92,6 @@ def tau(a: int, s: int) -> int:
     """
     _check_pair(a, s)
     return isqrt(s * s * (a + 1) - 1) - isqrt(s * s * a)
-
-
-def tau_brute(a: int, s: int) -> int:
-    """Oracle for tau: walk t upward, both strictness checks explicit."""
-    _check_pair(a, s)
-    lo = s * s * a
-    hi = s * s * (a + 1)
-    t = isqrt(lo) + 1
-    count = 0
-    while t * t < hi:
-        if t * t > lo:
-            count += 1
-        t += 1
-    return count
 
 
 def t_set(a: int, s: int) -> list[int]:

@@ -1,8 +1,9 @@
 """Shared numeric oracles for the test suite.
 
 These deliberately avoid the library's own code paths: decimal square
-roots at high precision for sign checks, and a plain denominator-first
-scan for minimal fractions.
+roots at high precision for sign checks, a plain denominator-first scan
+for minimal fractions, a t-by-t walk for witness counts, and a
+square-twice integer test for s against k*(sqrt(a) + sqrt(a+1)).
 """
 
 from decimal import Decimal, localcontext
@@ -32,3 +33,40 @@ def brute_first_rational(x_rad, y_rad, s_limit=10000):
         if t * t < hi:
             return Fraction(t, s)
     raise AssertionError(f"no fraction below denominator {s_limit}")
+
+
+def tau_brute(a, s):
+    """Oracle for tau: walk t upward, both strictness checks explicit."""
+    if a < 0:
+        raise ValueError("a must be >= 0")
+    if s < 1:
+        raise ValueError("s must be >= 1")
+    lo = s * s * a
+    hi = s * s * (a + 1)
+    t = isqrt(lo) + 1
+    count = 0
+    while t * t < hi:
+        if t * t > lo:
+            count += 1
+        t += 1
+    return count
+
+
+def cmp_int_vs_sum_sqrt(s, k, a):
+    """Exact sign of s - k*(sqrt(a) + sqrt(a+1)).
+
+    Never zero: a*a + a lies strictly between consecutive squares for
+    a >= 1, so the sum of roots is irrational.  Squaring once reduces the
+    question to s*s versus k*k*(2a+1) + 2*k*k*sqrt(a*a+a); squaring again
+    settles it in integers.
+    """
+    if a < 1:
+        raise ValueError("a must be >= 1")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if s < 0:
+        raise ValueError("s must be nonnegative")
+    lhs = s * s - k * k * (2 * a + 1)
+    if lhs <= 0:
+        return -1
+    return 1 if lhs * lhs > 4 * k**4 * (a * a + a) else -1

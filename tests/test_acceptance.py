@@ -30,11 +30,10 @@ from sqdenom import (
     symmetry_report,
     t_set,
     tau,
-    tau_brute,
 )
 from sqdenom.analysis import tau_profile
 
-from conftest import brute_first_rational
+from conftest import brute_first_rational, tau_brute
 
 
 def _verdict(capsys, num, ok, detail):

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from sqdenom import analysis
 from sqdenom.analysis import (
     SweepRecord,
     TauProfile,
@@ -34,32 +33,6 @@ def test_sweep_validation():
         sweep(0, 5)
     with pytest.raises(ValueError):
         sweep(5, 2)
-
-
-def test_sweep_parallel_matches_serial():
-    assert sweep(1, 200, jobs=2) == sweep(1, 200)
-
-
-def test_sweep_caps_pool_at_cpu_count(monkeypatch):
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, size):
-            sizes.append(size)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, values, chunksize=1):
-            return [fn(v) for v in values]
-
-    monkeypatch.setattr(analysis.os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(analysis.multiprocessing, "Pool", SerialPool)
-    assert sweep(1, 200, jobs=10**6) == sweep(1, 200)
-    assert sizes == [4]
 
 
 def test_sweep_record_rejects_inconsistent_rows():

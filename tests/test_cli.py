@@ -2,9 +2,13 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import sqdenom
 from sqdenom import cli, sigmacore
 from sqdenom.cli import main
 
@@ -179,6 +183,24 @@ def test_analyze_symmetry(capsys):
         rep["matches"] / rep["comparisons"], abs=1e-6
     )
     assert [e["n"] for e in rep["per_n"]] == [2, 3, 4]
+
+
+def test_analyze_symmetry_rejects_nonpositive_d_max(capsys):
+    for d_max in ("0", "-3"):
+        code, out, err = run(capsys, "analyze", "symmetry", "--d-max", d_max)
+        assert (code, out) == (2, "")
+        assert err == "error: d_max must be >= 1\n"
+
+
+def test_cli_import_loads_no_multiprocessing():
+    src = os.path.dirname(os.path.dirname(sqdenom.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, sqdenom.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    assert out == "False\n"
 
 
 def test_analyze_conjecture1(capsys):

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 from sqdenom.exactmath import (
     INFINITY,
     Surd,
-    cmp_int_vs_sum_sqrt,
     floor_surd,
     is_perfect_square,
     surd_cmp,
 )
 
-from conftest import dec_surd_value, dec_sqrt
+from conftest import cmp_int_vs_sum_sqrt, dec_surd_value, dec_sqrt
 
 
 def test_isqrt_spot_values():

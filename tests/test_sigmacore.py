@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqdenom.confrac import first_pair_between, is_first_rational_between
-from sqdenom.exactmath import Surd, cmp_int_vs_sum_sqrt, floor_surd, surd_cmp
+from sqdenom.exactmath import Surd, floor_surd, surd_cmp
 from sqdenom.sigmacore import (
     Decomposition,
     decompose,
@@ -19,11 +19,10 @@ from sqdenom.sigmacore import (
     sigma_upper,
     t_set,
     tau,
-    tau_brute,
     zero_windows,
 )
 
-from conftest import brute_first_rational
+from conftest import brute_first_rational, cmp_int_vs_sum_sqrt, tau_brute
 
 
 def test_decompose_examples():
