@@ -17,15 +17,12 @@ from .analysis import (
     offbound_peaks,
     on_bound_fraction,
     sweep,
-    symmetry_full_range,
     symmetry_report,
-    symmetry_stats,
     tau_profile,
     upward_closure_check,
 )
-from .confrac import CFExpansion, convergent, first_rational_between, sqrt_cf, stern_brocot_between
+from .confrac import CFExpansion, first_rational_between, sqrt_cf, stern_brocot_between
 from .exactmath import (
-    INFINITY,
     Surd,
     floor_surd,
     is_perfect_square,

@@ -29,8 +29,6 @@ __all__ = [
     "sweep",
     "tau_profile",
     "on_bound_fraction",
-    "symmetry_stats",
-    "symmetry_full_range",
     "symmetry_report",
     "off_bound_points",
     "offbound_peaks",
@@ -121,56 +119,37 @@ def on_bound_fraction(a_from: int, a_to: int) -> Fraction:
     return Fraction(hits, a_to - a_from + 1)
 
 
-def _symmetry_counts(n: int, d_max: int) -> tuple[int, int]:
-    center = n * (n + 1)
-    hits = sum(1 for d in range(1, d_max + 1) if sigma(center - d) == sigma(center + d))
-    return hits, d_max
-
-
-def symmetry_stats(n: int, d_max: int) -> Fraction:
-    """Share of offsets 1 <= d <= d_max with sigma symmetric about n(n+1).
-
-    d_max may not exceed n, which keeps both mirrored arguments within the
-    trough between n^2 and (n+1)^2.
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if not 1 <= d_max <= n:
-        raise ValueError("need 1 <= d_max <= n")
-    return Fraction(*_symmetry_counts(n, d_max))
-
-
-def symmetry_full_range(n: int) -> Fraction:
-    """Unclipped variant: offsets run to n(n+1) - 1, crossing square spikes."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    return Fraction(*_symmetry_counts(n, n * (n + 1) - 1))
-
-
 def symmetry_report(
     n_min: int = 2,
     n_max: int = 44,
     d_max: int | None = None,
     full_range: bool = False,
 ) -> dict:
-    """Per-trough symmetry ratios plus the aggregate over all compared offsets."""
+    """Per-trough symmetry ratios plus the aggregate over all compared offsets.
+
+    Trough n compares sigma(n(n+1) - d) with sigma(n(n+1) + d) for
+    1 <= d <= min(d_max, n), which keeps both arguments between n^2 and
+    (n+1)^2; d_max defaults to n.  full_range runs d to n(n+1) - 1
+    instead, crossing square spikes, and so excludes d_max.
+    """
     if n_min < 2 or n_max < n_min:
         raise ValueError("need 2 <= n_min <= n_max")
+    if full_range and d_max is not None:
+        raise ValueError("d_max and full_range exclude each other")
     if d_max is not None and d_max < 1:
         raise ValueError("d_max must be >= 1")
     per_n = []
     hits = total = 0
     for n in range(n_min, n_max + 1):
+        center = n * (n + 1)
         if full_range:
-            dm = n * (n + 1) - 1
+            dm = center - 1
         else:
             dm = n if d_max is None else min(d_max, n)
-        h, t = _symmetry_counts(n, dm)
-        per_n.append(
-            {"n": n, "center": n * (n + 1), "matches": h, "comparisons": t}
-        )
+        h = sum(1 for d in range(1, dm + 1) if sigma(center - d) == sigma(center + d))
+        per_n.append({"n": n, "center": center, "matches": h, "comparisons": dm})
         hits += h
-        total += t
+        total += dm
     return {
         "per_n": per_n,
         "aggregate": Fraction(hits, total),

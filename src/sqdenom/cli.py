@@ -9,6 +9,7 @@ rerunning a command with the same arguments reproduces identical bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -31,18 +32,15 @@ from .figures import generate_figures, heatmap_data, heatmap_svg
 from .sigmacore import ConsistencyError, t_set, tau
 
 
-def _open_out(path: str | None):
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+def _output(path: str | None):
+    """Context manager for a command's output: stdout, or the --out file.
 
-
-def _emit(path: str | None, text: str) -> None:
+    Commands build their records, rows or report before opening it, so a
+    failing command writes nothing and creates no file.
+    """
     if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", newline="")
 
 
 def _frac_fields(f: Fraction) -> dict:
@@ -87,39 +85,36 @@ def cmd_cf(args) -> int:
     return 0
 
 
+def _write_csv(fh, header, rows) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
 def cmd_sweep(args) -> int:
     records = sweep(args.a_from, args.a_to)
-    if args.format == "json":
-        payload = [asdict(r) for r in records]
-        _emit(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return 0
-    fh, close = _open_out(args.out)
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(f.name for f in fields(SweepRecord))
-        for r in records:
-            writer.writerow(
-                [r.a, r.sigma, r.sigma1, r.upper, int(r.on_bound), r.min_k, r.t_first]
+    with _output(args.out) as fh:
+        if args.format == "json":
+            payload = [asdict(r) for r in records]
+            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        else:
+            _write_csv(
+                fh,
+                [f.name for f in fields(SweepRecord)],
+                ([r.a, r.sigma, r.sigma1, r.upper, int(r.on_bound), r.min_k, r.t_first]
+                 for r in records),
             )
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
 def cmd_heatmap(args) -> int:
     header, rows = heatmap_data(args.mode, args.a_min, args.a_max, args.s_min, args.s_max)
-    if args.format == "svg":
-        _emit(args.out, heatmap_svg(args.mode, rows))
-        return 0
-    fh, close = _open_out(args.out)
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    finally:
-        if close:
-            fh.close()
+    svg = heatmap_svg(args.mode, rows) if args.format == "svg" else None
+    with _output(args.out) as fh:
+        if svg is not None:
+            fh.write(svg)
+        else:
+            _write_csv(fh, header, rows)
     return 0
 
 
@@ -148,15 +143,7 @@ def _report_symmetry(args) -> dict:
         "aggregate": _frac_fields(agg),
         "matches": rep["matches"],
         "comparisons": rep["comparisons"],
-        "per_n": [
-            {
-                "n": e["n"],
-                "center": e["center"],
-                "matches": e["matches"],
-                "comparisons": e["comparisons"],
-            }
-            for e in rep["per_n"]
-        ],
+        "per_n": rep["per_n"],
         "verdict": verdict,
     }
 
@@ -262,7 +249,8 @@ _ANALYZE_REPORTS = {
 
 def cmd_analyze(args) -> int:
     report = _ANALYZE_REPORTS[args.subreport](args)
-    _emit(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    with _output(args.out) as fh:
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0
 
 

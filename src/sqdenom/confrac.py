@@ -1,7 +1,8 @@
 """Continued fractions of square roots and the first rational in an interval.
 
 sqrt(d) has the periodic expansion [a0; p1, ..., pk, p1, ...] computed by the
-classical (m, den) recurrence; the state pair repeats exactly at the period.
+classical (m, den) recurrence; the period ends at the first partial quotient
+equal to 2*a0.
 
 first_pair_between is the one runtime route to the smallest-denominator
 rational in an open interval (sqrt(x), sqrt(y)).  It runs the
@@ -24,14 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterator
 
 from .exactmath import _sign_linear, isqrt
 
 __all__ = [
     "CFExpansion",
     "sqrt_cf",
-    "convergent",
     "first_pair_between",
     "first_rational_between",
     "is_first_rational_between",
@@ -51,14 +50,6 @@ class CFExpansion:
     body: tuple[int, ...]
     periodic: bool
 
-    def terms(self) -> Iterator[int]:
-        yield self.a0
-        if self.periodic:
-            while True:
-                yield from self.body
-        else:
-            yield from self.body
-
     def __str__(self) -> str:
         if not self.body:
             return f"[{self.a0}]"
@@ -71,9 +62,13 @@ class CFExpansion:
 def sqrt_cf(d: int) -> CFExpansion:
     """Continued fraction of sqrt(d).
 
-    m' = den*a - m, den' = (d - m'^2)/den, a' = (a0 + m')//den'; the walk
-    stops when the (m, den) state first repeats, which marks one full
-    period.  All divisions are exact.
+    m' = den*a - m, den' = (d - m'^2)/den, a' = (a0 + m')//den'; all
+    divisions are exact.  Every complete quotient (m + sqrt(d))/den after
+    the first is reduced, so 0 < m <= a0 and sqrt(d) - m < den; hence
+    a = 2*a0 exactly when den = 1 (which forces m = a0), and a <= a0
+    otherwise.  den = 1 happens exactly at the end of each period
+    (Khinchin, Continued Fractions), so the walk stops after the first
+    partial quotient equal to 2*a0.
     """
     if d < 1:
         raise ValueError("radicand must be >= 1")
@@ -81,36 +76,13 @@ def sqrt_cf(d: int) -> CFExpansion:
     if a0 * a0 == d:
         return CFExpansion(a0, (), periodic=False)
     body = []
-    m_prev, den_prev, a_prev = 0, 1, a0
-    first_state = None
-    while True:
-        m = den_prev * a_prev - m_prev
-        den = (d - m * m) // den_prev
+    m, den, a = 0, 1, a0
+    while a != 2 * a0:
+        m = den * a - m
+        den = (d - m * m) // den
         a = (a0 + m) // den
-        if first_state is None:
-            first_state = (m, den)
-        elif (m, den) == first_state:
-            break
         body.append(a)
-        m_prev, den_prev, a_prev = m, den, a
     return CFExpansion(a0, tuple(body), periodic=True)
-
-
-def convergent(cf: CFExpansion, j: int) -> Fraction:
-    """p_j/q_j from the first j+1 partial quotients (coprime by construction)."""
-    if j < 0:
-        raise IndexError("convergent index must be nonnegative")
-    if not cf.periodic and j > len(cf.body):
-        raise IndexError("convergent index beyond a finite expansion")
-    p_prev, q_prev = 1, 0
-    p, q = cf.a0, 1
-    it = cf.terms()
-    next(it)
-    for _ in range(j):
-        t = next(it)
-        p, p_prev = t * p + p_prev, p
-        q, q_prev = t * q + q_prev, q
-    return Fraction(p, q)
 
 
 def stern_brocot_between(x_radicand: int, y_radicand: int) -> Fraction:

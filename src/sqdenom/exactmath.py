@@ -2,12 +2,13 @@
 
 Every decision made by this library reduces to integer comparisons; no
 floating point is consulted anywhere.  The central value type is Surd, an
-exact (p + q*sqrt(d))/r with q >= 0 and r >= 1, plus a distinguished
-+infinity used for degenerate frames.  A Surd keeps the form it was built
-with: comparisons and floors work on the value, so equal values written in
-different forms compare equal.  Ordering two surds is resolved by
-isolate-and-square steps with explicit sign bookkeeping, which stays exact
-because at most two distinct radicals ever meet in one comparison.
+exact (p + q*sqrt(d))/r with q >= 0 and r >= 1; every Surd is finite.  A
+Surd keeps the form it was built with: comparisons and floors work on the
+value, so equal values written in different forms compare equal, and it
+defines __eq__ without __hash__, so it is unhashable.  Ordering two surds
+is resolved by isolate-and-square steps with explicit sign bookkeeping,
+which stays exact because at most two distinct radicals ever meet in one
+comparison.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ __all__ = [
     "isqrt",
     "is_perfect_square",
     "Surd",
-    "INFINITY",
     "floor_surd",
     "surd_cmp",
 ]
@@ -35,13 +35,13 @@ def is_perfect_square(n: int) -> int | None:
 
 @functools.total_ordering
 class Surd:
-    """Exact (p + q*sqrt(d))/r with q >= 0, r >= 1, or +infinity.
+    """Exact (p + q*sqrt(d))/r with q >= 0, r >= 1.
 
     The form is stored as given (a zero q or d stores both as 0); nothing
     is reduced, because comparisons and floors act on the value alone.
     """
 
-    __slots__ = ("p", "q", "d", "r", "_inf")
+    __slots__ = ("p", "q", "d", "r")
 
     def __init__(self, p: int, q: int = 0, d: int = 0, r: int = 1):
         if r <= 0:
@@ -56,22 +56,6 @@ class Surd:
         self.q = q
         self.d = d
         self.r = r
-        self._inf = False
-
-    @classmethod
-    def _infinity(cls) -> "Surd":
-        self = object.__new__(cls)
-        self.p = self.q = self.d = 0
-        self.r = 1
-        self._inf = True
-        return self
-
-    @property
-    def is_infinite(self) -> bool:
-        return self._inf
-
-    def floor(self) -> int:
-        return floor_surd(self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Surd):
@@ -83,18 +67,10 @@ class Surd:
             return NotImplemented
         return surd_cmp(self, other) < 0
 
-    def __hash__(self):
-        raise TypeError("Surd is not hashable")
-
     def __repr__(self) -> str:
-        if self._inf:
-            return "Surd(+inf)"
         if self.q == 0:
             return f"Surd({self.p}/{self.r})" if self.r != 1 else f"Surd({self.p})"
         return f"Surd(({self.p}+{self.q}*sqrt({self.d}))/{self.r})"
-
-
-INFINITY = Surd._infinity()
 
 
 def floor_surd(x: Surd) -> int:
@@ -105,8 +81,6 @@ def floor_surd(x: Surd) -> int:
     contains no integer, hence no multiple of r either, so the floor equals
     (p + u) // r.
     """
-    if x._inf:
-        raise ValueError("floor of +infinity")
     return (x.p + isqrt(x.q * x.q * x.d)) // x.r
 
 
@@ -143,11 +117,7 @@ def _sign_two_radicals(k: int, b: int, d1: int, e: int, d2: int) -> int:
 
 
 def surd_cmp(x: Surd, y: Surd) -> int:
-    """Total order on surds: -1, 0 or +1.  +infinity exceeds every finite value."""
-    if x._inf or y._inf:
-        if x._inf and y._inf:
-            return 0
-        return 1 if x._inf else -1
+    """Total order on surds: -1, 0 or +1."""
     k = x.p * y.r - y.p * x.r
     return _sign_two_radicals(k, x.q * y.r, x.d, y.q * x.r, y.d)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .confrac import first_pair_between
-from .exactmath import INFINITY, Surd, isqrt, surd_cmp
+from .exactmath import Surd, isqrt, surd_cmp
 
 __all__ = [
     "ConsistencyError",
@@ -202,32 +202,28 @@ def zero_windows(a: int, k_max: int) -> list[ZeroWindow]:
     Left crowding at offset k pins floor(s*sqrt(a)) to s*n + k and forces
     tau(a, s) = 0 for k*(n+sqrt(a))/b <= s <= (k+1)*(n+sqrt(a+1))/(b+1);
     right crowding mirrors it with m and c.  At k = 0 the lower constraint
-    is vacuous (endpoint 0); a zero denominator with k >= 1 means the
-    window is empty (+infinity lower endpoint, never emitted).
+    is vacuous (endpoint 0).  At k >= 1 a zero lower denominator (b = 0 or
+    c = 1) leaves no s, so that side has no window.  Windows come left
+    before right for each k.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     dc = decompose(a)
     zero = Surd(0)
+    sides = (
+        ("left-crowding", dc.n, a, dc.b, a + 1, dc.b + 1),
+        ("right-crowding", dc.m, a + 1, dc.c - 1, a, dc.c),
+    )
     out: list[ZeroWindow] = []
     for k in range(k_max + 1):
-        hi = Surd((k + 1) * dc.n, k + 1, a + 1, dc.b + 1)
-        if k == 0:
-            lo = zero
-        elif dc.b == 0:
-            lo = INFINITY
-        else:
-            lo = Surd(k * dc.n, k, a, dc.b)
-        if surd_cmp(lo, hi) <= 0:
-            out.append(ZeroWindow(k, lo, hi, "left-crowding"))
-
-        hi = Surd((k + 1) * dc.m, k + 1, a, dc.c)
-        if k == 0:
-            lo = zero
-        elif dc.c == 1:
-            lo = INFINITY
-        else:
-            lo = Surd(k * dc.m, k, a + 1, dc.c - 1)
-        if surd_cmp(lo, hi) <= 0:
-            out.append(ZeroWindow(k, lo, hi, "right-crowding"))
+        for side, base, rad_lo, den_lo, rad_hi, den_hi in sides:
+            hi = Surd((k + 1) * base, k + 1, rad_hi, den_hi)
+            if k == 0:
+                lo = zero
+            elif den_lo == 0:
+                continue
+            else:
+                lo = Surd(k * base, k, rad_lo, den_lo)
+            if surd_cmp(lo, hi) <= 0:
+                out.append(ZeroWindow(k, lo, hi, side))
     return out

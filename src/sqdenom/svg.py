@@ -147,8 +147,6 @@ def draw_cells(parts, frame, cells) -> None:
     w = _fmt(2 * half_w)
     h = _fmt(2 * half_h)
     for x, y, fill in cells:
-        if fill is None:
-            continue
         parts.append(
             f'<rect x="{_fmt(frame.x(x) - half_w)}" y="{_fmt(frame.y(y) - half_h)}" '
             f'width="{w}" height="{h}" fill="{fill}"/>'

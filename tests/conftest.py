@@ -2,12 +2,14 @@
 
 These deliberately avoid the library's own code paths: decimal square
 roots at high precision for sign checks, a plain denominator-first scan
-for minimal fractions, a t-by-t walk for witness counts, and a
-square-twice integer test for s against k*(sqrt(a) + sqrt(a+1)).
+for minimal fractions, a t-by-t walk for witness counts, a square-twice
+integer test for s against k*(sqrt(a) + sqrt(a+1)), and convergents
+folded from the partial quotients of an expansion.
 """
 
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import cycle, islice
 from math import isqrt
 
 
@@ -70,3 +72,18 @@ def cmp_int_vs_sum_sqrt(s, k, a):
     if lhs <= 0:
         return -1
     return 1 if lhs * lhs > 4 * k**4 * (a * a + a) else -1
+
+
+def convergent(cf, j):
+    """p_j/q_j of a CFExpansion from its first j+1 partial quotients,
+    walking a periodic body cyclically (coprime by construction)."""
+    if j < 0:
+        raise IndexError("convergent index must be nonnegative")
+    if not cf.periodic and j > len(cf.body):
+        raise IndexError("convergent index beyond a finite expansion")
+    p_prev, q_prev = 1, 0
+    p, q = cf.a0, 1
+    for t in islice(cycle(cf.body), j):
+        p, p_prev = t * p + p_prev, p
+        q, q_prev = t * q + q_prev, q
+    return Fraction(p, q)

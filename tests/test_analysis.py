@@ -14,9 +14,7 @@ from sqdenom.analysis import (
     offbound_peaks,
     on_bound_fraction,
     sweep,
-    symmetry_full_range,
     symmetry_report,
-    symmetry_stats,
     tau_profile,
     upward_closure_check,
 )
@@ -63,15 +61,15 @@ def test_on_bound_fraction_value():
 
 
 def test_symmetry_stats():
-    assert symmetry_stats(3, 2) == 1
-    assert symmetry_stats(2, 2) == Fraction(1, 2)
-    assert symmetry_full_range(3) == Fraction(2, 11)
+    assert symmetry_report(3, 3, d_max=2)["aggregate"] == 1
+    assert symmetry_report(2, 2, d_max=2)["aggregate"] == Fraction(1, 2)
+    assert symmetry_report(3, 3, full_range=True)["aggregate"] == Fraction(2, 11)
     with pytest.raises(ValueError):
-        symmetry_stats(1, 1)
+        symmetry_report(1, 1, d_max=1)
     with pytest.raises(ValueError):
-        symmetry_stats(5, 6)
+        symmetry_report(5, 5, d_max=2, full_range=True)
     with pytest.raises(ValueError):
-        symmetry_stats(5, 0)
+        symmetry_report(5, 5, d_max=0)
 
 
 def test_symmetry_report_aggregate():

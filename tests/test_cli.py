@@ -192,6 +192,18 @@ def test_analyze_symmetry_rejects_nonpositive_d_max(capsys):
         assert err == "error: d_max must be >= 1\n"
 
 
+def test_analyze_symmetry_rejects_full_range_with_d_max(capsys, tmp_path):
+    argv = ["analyze", "symmetry", "--n-min", "2", "--n-max", "3", "--full-range", "--d-max", "1"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    # the failing command does not create its --out file either
+    target = tmp_path / "sym.json"
+    code, out, _ = run(capsys, *argv, "--out", str(target))
+    assert (code, out) == (2, "")
+    assert not target.exists()
+
+
 def test_cli_import_loads_no_multiprocessing():
     src = os.path.dirname(os.path.dirname(sqdenom.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
