@@ -112,11 +112,13 @@ def sweep(a_from: int, a_to: int) -> list[SweepRecord]:
 
 
 def on_bound_fraction(a_from: int, a_to: int) -> Fraction:
-    """Exact share of a in [a_from, a_to] with sigma(a) = sigma_1(a)."""
-    if a_from < 1 or a_to < a_from:
-        raise ValueError("need 1 <= a_from <= a_to")
-    hits = sum(1 for a in range(a_from, a_to + 1) if sigma(a) == sigma_lower(a))
-    return Fraction(hits, a_to - a_from + 1)
+    """Exact share of a in [a_from, a_to] with sigma(a) = sigma_1(a).
+
+    sigma >= sigma_1 everywhere, so these are the a off_bound_points omits.
+    """
+    off = len(off_bound_points(a_from, a_to))
+    total = a_to - a_from + 1
+    return Fraction(total - off, total)
 
 
 def symmetry_report(
@@ -191,48 +193,55 @@ def offbound_minima(n: int) -> list[int]:
     return [a for a, s in off_bound_points(n * n + 1, (n + 1) ** 2 - 1) if s == 5]
 
 
-def k_set(n: int, convention: str = "minimal") -> set[int]:
-    """Curve indices realized on n^2 < a < (n+1)^2.
+def k_set(n: int) -> tuple[set[int], set[int]]:
+    """Curve indices realized on n^2 < a < (n+1)^2, as (minimal, existential).
 
     minimal: the least matching k per a.  existential: every k <= sigma(a)
     with sigma_k(a) = sigma(a).  (k > sigma(a) never matches since
-    sigma_k >= k+1.)
+    sigma_k >= k+1.)  One sigma per a serves both sets.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    if convention not in ("minimal", "existential"):
-        raise ValueError(f"unknown convention: {convention!r}")
-    ks: set[int] = set()
+    minimal: set[int] = set()
+    existential: set[int] = set()
     for a in range(n * n + 1, (n + 1) ** 2):
         s = sigma(a)
-        if convention == "minimal":
-            ks.add(min_k(a, s))
-        else:
-            for k in range(1, s + 1):
-                if sigma_k(a, k) == s:
-                    ks.add(k)
-    return ks
+        minimal.add(min_k(a, s))
+        existential.update(k for k in range(1, s + 1) if sigma_k(a, k) == s)
+    return minimal, existential
 
 
-def conjecture1_search(a: int, k: int, s_max: int) -> int | None:
-    """Smallest s <= s_max with tau(a, s) = k and tau(a, s+1) = k-1, else None.
+def conjecture1_search(a_max: int, k_max: int, s_max: int) -> dict[int, list[int | None]]:
+    """First tau decrement from k to k-1 for every 2 <= a <= a_max, k <= k_max.
 
-    Only defined away from squares: tau profiles at a = n^2 and n^2 - 1
-    are nondecreasing, so no decrement step exists there.
+    Entry k-1 of a's list is the smallest s <= s_max with tau(a, s) = k and
+    tau(a, s+1) = k-1, or None when there is none.  a = n^2 and n^2 - 1
+    are left out: their tau profiles are nondecreasing, so no decrement
+    step exists there.  Each a gets one tau scan over s, which ends once
+    every k has its witness.
     """
-    if is_perfect_square(a) is not None or is_perfect_square(a + 1) is not None:
-        raise ValueError("a and a+1 must both be non-squares")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if a_max < 2:
+        raise ValueError("a_max must be >= 2")
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
-    prev = tau(a, 1)
-    for s in range(1, s_max + 1):
-        cur = tau(a, s + 1)
-        if prev == k and cur == k - 1:
-            return s
-        prev = cur
-    return None
+    found: dict[int, list[int | None]] = {}
+    for a in range(2, a_max + 1):
+        if is_perfect_square(a) is not None or is_perfect_square(a + 1) is not None:
+            continue
+        first: list[int | None] = [None] * k_max
+        prev = tau(a, 1)
+        for s in range(1, s_max + 1):
+            cur = tau(a, s + 1)
+            # tau steps by at most 1, so cur < prev is a drop from prev to prev-1
+            if cur < prev <= k_max and first[prev - 1] is None:
+                first[prev - 1] = s
+                if None not in first:
+                    break
+            prev = cur
+        found[a] = first
+    return found
 
 
 def upward_closure_check(a: int, s_max: int) -> list[int]:

@@ -27,7 +27,6 @@ from .analysis import (
     upward_closure_check,
 )
 from .confrac import first_pair_between, is_first_rational_between, sqrt_cf
-from .exactmath import is_perfect_square
 from .figures import generate_figures, heatmap_data, heatmap_svg
 from .sigmacore import ConsistencyError, t_set, tau
 
@@ -149,12 +148,11 @@ def _report_symmetry(args) -> dict:
 
 
 def _report_kset(args) -> dict:
-    minimal = sorted(k_set(args.n, "minimal"))
-    existential = sorted(k_set(args.n, "existential"))
+    minimal, existential = k_set(args.n)
     findings = [
         {
             "check": "minimal subset of existential",
-            "verdict": "pass" if set(minimal) <= set(existential) else "fail",
+            "verdict": "pass" if minimal <= existential else "fail",
         },
         {
             "check": "contains 1",
@@ -164,8 +162,8 @@ def _report_kset(args) -> dict:
     return {
         "report": "kset",
         "params": {"n": args.n},
-        "minimal": minimal,
-        "existential": existential,
+        "minimal": sorted(minimal),
+        "existential": sorted(existential),
         "findings": findings,
         "verdict": "pass" if all(f["verdict"] == "pass" for f in findings) else "indeterminate",
     }
@@ -208,11 +206,8 @@ def _report_offbound(args) -> dict:
 def _report_conjecture1(args) -> dict:
     findings = []
     indeterminate = 0
-    for a in range(2, args.a_max + 1):
-        if is_perfect_square(a) is not None or is_perfect_square(a + 1) is not None:
-            continue
-        for k in range(1, args.k_max + 1):
-            s = conjecture1_search(a, k, args.s_max)
+    for a, witnesses in conjecture1_search(args.a_max, args.k_max, args.s_max).items():
+        for k, s in enumerate(witnesses, start=1):
             if s is None:
                 indeterminate += 1
                 findings.append({"a": a, "k": k, "verdict": "indeterminate"})

@@ -40,23 +40,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CFExpansion:
-    """[a0; body] with the body repeating forever when periodic.
+    """[a0; body] with the body repeating forever.
 
     A perfect-square radicand yields the finite expansion [a0] with an
-    empty body.
+    empty body; every other expansion is periodic.
     """
 
     a0: int
     body: tuple[int, ...]
-    periodic: bool
+
+    @property
+    def periodic(self) -> bool:
+        return bool(self.body)
 
     def __str__(self) -> str:
         if not self.body:
             return f"[{self.a0}]"
         inner = ", ".join(str(t) for t in self.body)
-        if self.periodic:
-            return f"[{self.a0}; ({inner})]"
-        return f"[{self.a0}; {inner}]"
+        return f"[{self.a0}; ({inner})]"
 
 
 def sqrt_cf(d: int) -> CFExpansion:
@@ -74,7 +75,7 @@ def sqrt_cf(d: int) -> CFExpansion:
         raise ValueError("radicand must be >= 1")
     a0 = isqrt(d)
     if a0 * a0 == d:
-        return CFExpansion(a0, (), periodic=False)
+        return CFExpansion(a0, ())
     body = []
     m, den, a = 0, 1, a0
     while a != 2 * a0:
@@ -82,7 +83,7 @@ def sqrt_cf(d: int) -> CFExpansion:
         den = (d - m * m) // den
         a = (a0 + m) // den
         body.append(a)
-    return CFExpansion(a0, tuple(body), periodic=True)
+    return CFExpansion(a0, tuple(body))
 
 
 def stern_brocot_between(x_radicand: int, y_radicand: int) -> Fraction:

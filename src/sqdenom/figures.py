@@ -40,11 +40,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _write_svg(path: Path, content: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(content)
-
-
 def _scatter_sigma(title, points, curves=None, width=760, height=420):
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
@@ -77,7 +72,7 @@ def _fig12(out_dir: Path) -> None:
     records = sweep(1, 500)
     points = [(r.a, r.sigma) for r in records]
     _write_csv(out_dir / "fig1.csv", ["a", "sigma"], points)
-    _write_svg(out_dir / "fig1.svg", _scatter_sigma("sigma(a) for 1 <= a <= 500", points))
+    (out_dir / "fig1.svg").write_text(_scatter_sigma("sigma(a) for 1 <= a <= 500", points))
 
     _write_csv(
         out_dir / "fig2.csv",
@@ -88,9 +83,8 @@ def _fig12(out_dir: Path) -> None:
         ("lower", LOWER_COLOR, [(r.a, r.sigma1) for r in records]),
         ("upper", UPPER_COLOR, [(r.a, r.upper) for r in records]),
     ]
-    _write_svg(
-        out_dir / "fig2.svg",
-        _scatter_sigma("sigma(a) with its bounds, 1 <= a <= 500", points, curves),
+    (out_dir / "fig2.svg").write_text(
+        _scatter_sigma("sigma(a) with its bounds, 1 <= a <= 500", points, curves)
     )
 
 
@@ -145,16 +139,10 @@ def heatmap_svg(mode: str, rows) -> str:
     return svg.close_svg(parts)
 
 
-def _fig3(out_dir: Path) -> None:
-    header, rows = heatmap_data("tau", 8, 256, 2, 100)
-    _write_csv(out_dir / "fig3.csv", header, rows)
-    _write_svg(out_dir / "fig3.svg", heatmap_svg("tau", rows))
-
-
-def _fig4(out_dir: Path) -> None:
-    header, rows = heatmap_data("delta", 1, 256, 2, 100)
-    _write_csv(out_dir / "fig4.csv", header, rows)
-    _write_svg(out_dir / "fig4.svg", heatmap_svg("delta", rows))
+def _fig_heatmap(out_dir: Path, name: str, mode: str, a_lo: int) -> None:
+    header, rows = heatmap_data(mode, a_lo, 256, 2, 100)
+    _write_csv(out_dir / f"{name}.csv", header, rows)
+    (out_dir / f"{name}.svg").write_text(heatmap_svg(mode, rows))
 
 
 def _fig5(out_dir: Path) -> None:
@@ -169,21 +157,19 @@ def _fig5(out_dir: Path) -> None:
         curve_rows.extend((a, k, y) for a, y in pts)
     curve_rows.sort()
     _write_csv(out_dir / "fig5_curves.csv", ["a", "k", "sigma_k"], curve_rows)
-    _write_svg(
-        out_dir / "fig5.svg",
+    (out_dir / "fig5.svg").write_text(
         _scatter_sigma(
             "sigma(a) on 100^2 <= a <= 101^2 with curve family",
             values, curves, width=900,
-        ),
+        )
     )
 
 
 def _fig6(out_dir: Path) -> None:
     points = off_bound_points(1, 2000)
     _write_csv(out_dir / "fig6.csv", ["a", "sigma"], points)
-    _write_svg(
-        out_dir / "fig6.svg",
-        _scatter_sigma("off-bound sigma(a) for 1 <= a <= 2000", points),
+    (out_dir / "fig6.svg").write_text(
+        _scatter_sigma("off-bound sigma(a) for 1 <= a <= 2000", points)
     )
 
 
@@ -192,8 +178,8 @@ def generate_figures(out_dir) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _fig12(out)
-    _fig3(out)
-    _fig4(out)
+    _fig_heatmap(out, "fig3", "tau", 8)
+    _fig_heatmap(out, "fig4", "delta", 1)
     _fig5(out)
     _fig6(out)
     names = [

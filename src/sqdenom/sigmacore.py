@@ -217,13 +217,13 @@ def zero_windows(a: int, k_max: int) -> list[ZeroWindow]:
     out: list[ZeroWindow] = []
     for k in range(k_max + 1):
         for side, base, rad_lo, den_lo, rad_hi, den_hi in sides:
-            hi = Surd((k + 1) * base, k + 1, rad_hi, den_hi)
             if k == 0:
                 lo = zero
             elif den_lo == 0:
                 continue
             else:
                 lo = Surd(k * base, k, rad_lo, den_lo)
+            hi = Surd((k + 1) * base, k + 1, rad_hi, den_hi)
             if surd_cmp(lo, hi) <= 0:
                 out.append(ZeroWindow(k, lo, hi, side))
     return out

@@ -3,8 +3,9 @@
 These deliberately avoid the library's own code paths: decimal square
 roots at high precision for sign checks, a plain denominator-first scan
 for minimal fractions, a t-by-t walk for witness counts, a square-twice
-integer test for s against k*(sqrt(a) + sqrt(a+1)), and convergents
-folded from the partial quotients of an expansion.
+integer test for s against k*(sqrt(a) + sqrt(a+1)), convergents
+folded from the partial quotients of an expansion, and a per-(a, k) scan
+for the first witness-count decrement.
 """
 
 from decimal import Decimal, localcontext
@@ -52,6 +53,19 @@ def tau_brute(a, s):
             count += 1
         t += 1
     return count
+
+
+def first_decrement(a, k, s_max):
+    """Oracle for one conjecture1_search entry: the smallest s <= s_max with
+    tau(a, s) = k and tau(a, s+1) = k-1, scanning from s = 1 for this k
+    alone; None when there is none."""
+    prev = tau_brute(a, 1)
+    for s in range(1, s_max + 1):
+        cur = tau_brute(a, s + 1)
+        if prev == k and cur == k - 1:
+            return s
+        prev = cur
+    return None
 
 
 def cmp_int_vs_sum_sqrt(s, k, a):

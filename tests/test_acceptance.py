@@ -17,7 +17,6 @@ from sqdenom import (
     conjecture1_search,
     first_rational_between,
     generate_figures,
-    is_perfect_square,
     k_set,
     offbound_minima,
     offbound_peaks,
@@ -139,8 +138,7 @@ def test_criterion_06_on_bound_share(capsys):
 def test_criterion_07_curve_index_set(capsys):
     t0 = time.perf_counter()
     expected = set(range(1, 16)) | {18, 19, 22, 29, 40}
-    minimal = k_set(100, "minimal")
-    existential = k_set(100, "existential")
+    minimal, existential = k_set(100)
     elapsed = time.perf_counter() - t0
     ok = (minimal == expected or existential == expected) and elapsed < 10
     _verdict(
@@ -202,11 +200,9 @@ def test_criterion_10_count_decrement_witnesses(capsys):
                 monotone_ok = False
     witnesses = 0
     indeterminate = []
-    for a in range(2, 301):
-        if is_perfect_square(a) is not None or is_perfect_square(a + 1) is not None:
-            continue
-        for k in range(1, 5):
-            if conjecture1_search(a, k, 500) is None:
+    for a, found in conjecture1_search(300, 4, 500).items():
+        for k, s in enumerate(found, start=1):
+            if s is None:
                 indeterminate.append((a, k))
             else:
                 witnesses += 1

@@ -1,6 +1,7 @@
 """Sweeps and empirical structure reports over square intervals."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -18,6 +19,8 @@ from sqdenom.analysis import (
     tau_profile,
     upward_closure_check,
 )
+
+from conftest import first_decrement
 
 
 def test_sweep_single_records():
@@ -129,45 +132,52 @@ def test_offbound_minima():
 
 
 def test_k_set_values():
-    assert k_set(2) == {1}
-    assert k_set(10) == {1, 2, 3, 4}
+    assert k_set(2) == ({1}, {1})
+    assert k_set(10) == ({1, 2, 3, 4}, {1, 2, 3, 4})
     # 14 is never the matching curve index anywhere in this interval,
     # under either convention
     expected = set(range(1, 14)) | {15, 18, 19, 22, 29, 40}
-    assert k_set(100, "minimal") == expected
-    assert k_set(100, "existential") == expected
+    assert k_set(100) == (expected, expected)
 
 
 def test_k_set_minimal_is_subset_of_existential():
     for n in range(2, 21):
-        assert k_set(n, "minimal") <= k_set(n, "existential")
+        minimal, existential = k_set(n)
+        assert minimal <= existential
 
 
 def test_k_set_validation():
     with pytest.raises(ValueError):
         k_set(1)
-    with pytest.raises(ValueError):
-        k_set(5, "other")
 
 
 def test_conjecture1_search():
-    assert conjecture1_search(19, 1, 100) == 5
-    assert conjecture1_search(12, 1, 100) == 2
-    assert conjecture1_search(2, 3, 4) is None
-    for bad in [(9, 1, 10), (8, 1, 10)]:
+    assert conjecture1_search(19, 1, 100)[19] == [5]
+    assert conjecture1_search(12, 1, 100)[12] == [2]
+    assert conjecture1_search(2, 3, 4)[2][2] is None
+    # a = n^2 and n^2 - 1 (3, 4, 8, 9) are skipped, not rejected
+    assert list(conjecture1_search(10, 1, 10)) == [2, 5, 6, 7, 10]
+    for bad in [(1, 1, 10), (19, 0, 10), (19, 1, 0)]:
         with pytest.raises(ValueError):
             conjecture1_search(*bad)
-    with pytest.raises(ValueError):
-        conjecture1_search(19, 0, 10)
-    with pytest.raises(ValueError):
-        conjecture1_search(19, 1, 0)
+
+
+def test_conjecture1_search_matches_per_k_scan():
+    # s_max = 3 leaves most entries None; 300 lets most a stop early
+    for s_max in (3, 40, 300):
+        found = conjecture1_search(150, 6, s_max)
+        assert list(found) == [
+            a for a in range(2, 151) if isqrt(a) ** 2 != a and isqrt(a + 1) ** 2 != a + 1
+        ]
+        for a, witnesses in found.items():
+            assert witnesses == [first_decrement(a, k, s_max) for k in range(1, 7)], (a, s_max)
 
 
 def test_conjecture1_witness_is_genuine():
     from sqdenom.sigmacore import tau
 
     for a, k in [(19, 1), (12, 1), (19, 2), (54, 2)]:
-        s = conjecture1_search(a, k, 500)
+        s = conjecture1_search(a, k, 500)[a][k - 1]
         assert s is not None
         assert tau(a, s) == k and tau(a, s + 1) == k - 1
 

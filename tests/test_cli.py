@@ -230,6 +230,16 @@ def test_analyze_conjecture1(capsys):
     assert rep["indeterminate_count"] == 6
 
 
+def test_analyze_conjecture1_rejects_empty_search(capsys, tmp_path):
+    target = tmp_path / "c1.json"
+    for flags in (["--k-max", "0"], ["--k-max", "-2"], ["--a-max", "1"]):
+        for extra in ([], ["--out", str(target)]):
+            code, out, err = run(capsys, "analyze", "conjecture1", *flags, *extra)
+            assert (code, out) == (2, "")
+            assert err.startswith("error:") and err.count("\n") == 1
+    assert not target.exists()
+
+
 def test_analyze_offbound(capsys):
     code, out, _ = run(capsys, "analyze", "offbound", "--n-from", "7", "--n-to", "8")
     assert code == 0

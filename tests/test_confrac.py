@@ -21,16 +21,16 @@ from conftest import brute_first_rational, convergent
 
 
 def test_sqrt_cf_small_radicands():
-    assert sqrt_cf(2) == CFExpansion(1, (2,), periodic=True)
-    assert sqrt_cf(3) == CFExpansion(1, (1, 2), periodic=True)
-    assert sqrt_cf(7) == CFExpansion(2, (1, 1, 1, 4), periodic=True)
-    assert sqrt_cf(13) == CFExpansion(3, (1, 1, 1, 1, 6), periodic=True)
-    assert sqrt_cf(14) == CFExpansion(3, (1, 2, 1, 6), periodic=True)
+    assert sqrt_cf(2) == CFExpansion(1, (2,))
+    assert sqrt_cf(3) == CFExpansion(1, (1, 2))
+    assert sqrt_cf(7) == CFExpansion(2, (1, 1, 1, 4))
+    assert sqrt_cf(13) == CFExpansion(3, (1, 1, 1, 1, 6))
+    assert sqrt_cf(14) == CFExpansion(3, (1, 2, 1, 6))
 
 
 def test_sqrt_cf_perfect_squares_are_finite():
-    assert sqrt_cf(1) == CFExpansion(1, (), periodic=False)
-    assert sqrt_cf(49) == CFExpansion(7, (), periodic=False)
+    assert sqrt_cf(1) == CFExpansion(1, ())
+    assert sqrt_cf(49) == CFExpansion(7, ())
     assert str(sqrt_cf(49)) == "[7]"
 
 
@@ -40,7 +40,7 @@ def test_sqrt_cf_991_and_992():
     assert cf.body[:4] == (2, 12, 10, 2)
     assert len(cf.body) == 60
     assert cf.body[-1] == 62
-    assert sqrt_cf(992) == CFExpansion(31, (2, 62), periodic=True)
+    assert sqrt_cf(992) == CFExpansion(31, (2, 62))
     assert str(sqrt_cf(992)) == "[31; (2, 62)]"
 
 
