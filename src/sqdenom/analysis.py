@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .exactmath import is_perfect_square
 from .sigmacore import (
+    ConsistencyError,
     min_k,
     sigma,
     sigma_k,
@@ -198,7 +199,8 @@ def k_set(n: int) -> tuple[set[int], set[int]]:
 
     minimal: the least matching k per a.  existential: every k <= sigma(a)
     with sigma_k(a) = sigma(a).  (k > sigma(a) never matches since
-    sigma_k >= k+1.)  One sigma per a serves both sets.
+    sigma_k >= k+1.)  One sigma and one scan over k per a serve both sets:
+    the scan's first match is min_k(a).
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -206,8 +208,11 @@ def k_set(n: int) -> tuple[set[int], set[int]]:
     existential: set[int] = set()
     for a in range(n * n + 1, (n + 1) ** 2):
         s = sigma(a)
-        minimal.add(min_k(a, s))
-        existential.update(k for k in range(1, s + 1) if sigma_k(a, k) == s)
+        ks = [k for k in range(1, s + 1) if sigma_k(a, k) == s]
+        if not ks:
+            raise ConsistencyError(f"no curve index k <= {s} matches sigma({a})")
+        minimal.add(ks[0])
+        existential.update(ks)
     return minimal, existential
 
 

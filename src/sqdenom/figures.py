@@ -68,6 +68,10 @@ def _gray(level: float) -> str:
     return f"rgb({v},{v},{v})"
 
 
+# tau heatmap fill per count, saturating at black from 10 up
+_TAU_FILLS = tuple(_gray(v / 10) for v in range(11))
+
+
 def _fig12(out_dir: Path) -> None:
     records = sweep(1, 500)
     points = [(r.a, r.sigma) for r in records]
@@ -128,7 +132,7 @@ def heatmap_svg(mode: str, rows) -> str:
     (a_lo, s_lo, _), (a_hi, s_hi, _) = rows[0], rows[-1]
     if mode == "tau":
         title = "tau(a, s): white 0, black >= 10"
-        cells = ((a, s, _gray(min(v, 10) / 10)) for a, s, v in rows)
+        cells = ((a, s, _TAU_FILLS[min(v, 10)]) for a, s, v in rows)
     else:
         title = "tau(a, s) - tau(a, s-1): black +1, red -1, white 0"
         cells = ((a, s, _delta_fill(v)) for a, s, v in rows)

@@ -22,7 +22,6 @@ sigma(a) is the denominator that confrac.first_pair_between finds in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .confrac import first_pair_between
@@ -186,9 +185,13 @@ def min_k(a: int, s: int | None = None) -> int:
     raise ConsistencyError(f"no curve index k <= {s} matches sigma({a})")
 
 
-@dataclass(frozen=True, eq=False)
-class ZeroWindow:
-    """Closed interval [lo, hi] of s-values with tau(a, s) = 0."""
+class ZeroWindow(NamedTuple):
+    """Closed interval [lo, hi] of s-values with tau(a, s) = 0.
+
+    A NamedTuple, as Decomposition is, so windows compare by value (the
+    Surd ends compare by value) and, like Surd, are unhashable.  As a
+    frozen dataclass it compared by identity.
+    """
 
     k: int
     lo: Surd
@@ -202,9 +205,22 @@ def zero_windows(a: int, k_max: int) -> list[ZeroWindow]:
     Left crowding at offset k pins floor(s*sqrt(a)) to s*n + k and forces
     tau(a, s) = 0 for k*(n+sqrt(a))/b <= s <= (k+1)*(n+sqrt(a+1))/(b+1);
     right crowding mirrors it with m and c.  At k = 0 the lower constraint
-    is vacuous (endpoint 0).  At k >= 1 a zero lower denominator (b = 0 or
-    c = 1) leaves no s, so that side has no window.  Windows come left
-    before right for each k.
+    is vacuous (endpoint 0), so that window is never empty.  At k >= 1 a
+    zero lower denominator (b = 0 or c = 1) leaves no s, so that side has
+    no window.  Windows come left before right for each k.
+
+    With lo = k*A and hi = (k+1)*B, the width hi - lo = B - k*(A - B)
+    falls strictly with k, because A > B on both sides.  On the left,
+    A = (n+sqrt(a))/b and B = (n+sqrt(a+1))/(b+1); squaring
+    n + (b+1)*sqrt(a) > b*sqrt(a+1) leaves n^2 + 2n(b+1)*sqrt(a) +
+    (2b+1)*a > b^2, which holds as (2b+1)*a >= b^2.  On the right,
+    A = (m+sqrt(a+1))/(c-1) has the larger numerator and the smaller
+    denominator of B = (m+sqrt(a))/c.  So a side's nonempty windows are
+    exactly k = 0..K.  One exact test at k_max settles the usual case
+    K = k_max, otherwise a bisection finds K: at most
+    1 + k_max.bit_length() comparisons per side, where a per-k scan makes
+    k_max + 1.  Surd ends are built only for the windows returned and the
+    empty windows probed.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
@@ -214,16 +230,31 @@ def zero_windows(a: int, k_max: int) -> list[ZeroWindow]:
         ("left-crowding", dc.n, a, dc.b, a + 1, dc.b + 1),
         ("right-crowding", dc.m, a + 1, dc.c - 1, a, dc.c),
     )
-    out: list[ZeroWindow] = []
-    for k in range(k_max + 1):
-        for side, base, rad_lo, den_lo, rad_hi, den_hi in sides:
-            if k == 0:
-                lo = zero
-            elif den_lo == 0:
-                continue
+
+    def window(k, side, base, rad_lo, den_lo, rad_hi, den_hi) -> ZeroWindow:
+        lo = Surd(k * base, k, rad_lo, den_lo) if k else zero
+        return ZeroWindow(k, lo, Surd((k + 1) * base, k + 1, rad_hi, den_hi), side)
+
+    # Per side, bisect for the last nonempty window and keep each nonempty
+    # probe for the output.  Invariant: window `good` is nonempty, window
+    # `bad` is empty or past k_max; den_lo = 0 leaves only k = 0.
+    found: list[tuple[int, dict[int, ZeroWindow]]] = []
+    for spec in sides:
+        kept: dict[int, ZeroWindow] = {}
+        good, bad = 0, (k_max + 1 if spec[3] else 1)
+        k = bad - 1
+        while bad - good > 1:
+            w = window(k, *spec)
+            if surd_cmp(w.lo, w.hi) <= 0:
+                kept[k] = w
+                good = k
             else:
-                lo = Surd(k * base, k, rad_lo, den_lo)
-            hi = Surd((k + 1) * base, k + 1, rad_hi, den_hi)
-            if surd_cmp(lo, hi) <= 0:
-                out.append(ZeroWindow(k, lo, hi, side))
+                bad = k
+            k = (good + bad) // 2
+        found.append((good, kept))
+    out: list[ZeroWindow] = []
+    for k in range(max(k_last for k_last, _ in found) + 1):
+        for spec, (k_last, kept) in zip(sides, found):
+            if k <= k_last:
+                out.append(kept.get(k) or window(k, *spec))
     return out

@@ -146,8 +146,14 @@ def draw_cells(parts, frame, cells) -> None:
     half_h = frame.plot_h / (frame.y_hi - frame.y_lo) / 2
     w = _fmt(2 * half_w)
     h = _fmt(2 * half_h)
+    # a grid repeats each column's x and each row's y: format each once
+    xs = {}
+    ys = {}
     for x, y, fill in cells:
+        if x not in xs:
+            xs[x] = _fmt(frame.x(x) - half_w)
+        if y not in ys:
+            ys[y] = _fmt(frame.y(y) - half_h)
         parts.append(
-            f'<rect x="{_fmt(frame.x(x) - half_w)}" y="{_fmt(frame.y(y) - half_h)}" '
-            f'width="{w}" height="{h}" fill="{fill}"/>'
+            f'<rect x="{xs[x]}" y="{ys[y]}" width="{w}" height="{h}" fill="{fill}"/>'
         )

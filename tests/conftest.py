@@ -4,14 +4,18 @@ These deliberately avoid the library's own code paths: decimal square
 roots at high precision for sign checks, a plain denominator-first scan
 for minimal fractions, a t-by-t walk for witness counts, a square-twice
 integer test for s against k*(sqrt(a) + sqrt(a+1)), convergents
-folded from the partial quotients of an expansion, and a per-(a, k) scan
-for the first witness-count decrement.
+folded from the partial quotients of an expansion, a per-(a, k) scan
+for the first witness-count decrement, and a per-k scan of the zero
+windows that compares every window's ends.
 """
 
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import cycle, islice
 from math import isqrt
+
+from sqdenom.exactmath import Surd, surd_cmp
+from sqdenom.sigmacore import ZeroWindow
 
 
 def dec_sqrt(n, prec=80):
@@ -101,3 +105,32 @@ def convergent(cf, j):
         p, p_prev = t * p + p_prev, p
         q, q_prev = t * q + q_prev, q
     return Fraction(p, q)
+
+
+def zero_windows_scan(a, k_max):
+    """Oracle for zero_windows: build both ends of every (k, side) window
+    for k <= k_max and keep those with lo <= hi, left before right."""
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    n = isqrt(a)
+    b = a - n * n
+    m = n + 1
+    c = m * m - a
+    zero = Surd(0)
+    sides = (
+        ("left-crowding", n, a, b, a + 1, b + 1),
+        ("right-crowding", m, a + 1, c - 1, a, c),
+    )
+    out = []
+    for k in range(k_max + 1):
+        for side, base, rad_lo, den_lo, rad_hi, den_hi in sides:
+            if k == 0:
+                lo = zero
+            elif den_lo == 0:
+                continue
+            else:
+                lo = Surd(k * base, k, rad_lo, den_lo)
+            hi = Surd((k + 1) * base, k + 1, rad_hi, den_hi)
+            if surd_cmp(lo, hi) <= 0:
+                out.append(ZeroWindow(k, lo, hi, side))
+    return out

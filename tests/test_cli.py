@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import sqdenom
-from sqdenom import cli, sigmacore
+from sqdenom import analysis, cli, sigmacore
 from sqdenom.cli import main
 
 
@@ -40,6 +40,11 @@ def test_consistency_failures_exit_four(capsys, monkeypatch):
     # a curve family that never reaches sigma leaves min_k without an index
     monkeypatch.setattr(sigmacore, "sigma_k", lambda a, k: 0)
     code, out, err = run(capsys, "sweep", "--from", "1", "--to", "3", "--jobs", "1")
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error: no curve index") and err.count("\n") == 1
+    # k_set takes the least index from its own scan and keeps the same guarantee
+    monkeypatch.setattr(analysis, "sigma_k", lambda a, k: 0)
+    code, out, err = run(capsys, "analyze", "kset", "--n", "2")
     assert (code, out) == (4, "")
     assert err.startswith("internal error: no curve index") and err.count("\n") == 1
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqdenom import sigmacore
 from sqdenom.confrac import first_pair_between, is_first_rational_between
 from sqdenom.exactmath import Surd, floor_surd, surd_cmp
 from sqdenom.sigmacore import (
@@ -22,7 +23,12 @@ from sqdenom.sigmacore import (
     zero_windows,
 )
 
-from conftest import brute_first_rational, cmp_int_vs_sum_sqrt, tau_brute
+from conftest import (
+    brute_first_rational,
+    cmp_int_vs_sum_sqrt,
+    tau_brute,
+    zero_windows_scan,
+)
 
 
 def test_decompose_examples():
@@ -265,6 +271,48 @@ def test_zero_windows_square_lower_interval():
     assert not any(w.side == "left-crowding" and w.k >= 1 for w in ws)
     base = next(w for w in ws if w.side == "left-crowding" and w.k == 0)
     assert base.hi == Surd(3, 1, 10)
+
+
+_FAMILIES = (
+    lambda n: n * n,
+    lambda n: n * n - 1,
+    lambda n: n * n + n - 1,
+    lambda n: n * n + 7,
+)
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(
+        st.integers(min_value=0, max_value=10**6),
+        st.builds(
+            lambda n, family: family(n),
+            st.integers(min_value=1, max_value=10**40),
+            st.sampled_from(_FAMILIES),
+        ),
+    ),
+    st.integers(min_value=0, max_value=64),
+)
+def test_zero_windows_match_per_k_scan(a, k_max):
+    # repr pins k, side, order and the stored Surd forms, not just values
+    assert repr(zero_windows(a, k_max)) == repr(zero_windows_scan(a, k_max))
+
+
+def test_zero_windows_compare_logarithmically(monkeypatch):
+    calls = 0
+
+    def counted(x, y):
+        nonlocal calls
+        calls += 1
+        return surd_cmp(x, y)
+
+    monkeypatch.setattr(sigmacore, "surd_cmp", counted)
+    ws = zero_windows(10**12 + 7, 200)
+    # 1 + (200).bit_length() per side; the per-k scan makes 402
+    assert calls <= 18
+    assert ws == zero_windows(10**12 + 7, 200)
+    with pytest.raises(TypeError):
+        hash(ws[0])
 
 
 def _covered_denominators(a, k_max, s_max):
