@@ -210,7 +210,7 @@ def k_set(n: int) -> tuple[set[int], set[int]]:
         s = sigma(a)
         ks = [k for k in range(1, s + 1) if sigma_k(a, k) == s]
         if not ks:
-            raise ConsistencyError(f"no curve index k <= {s} matches sigma({a})")
+            raise ConsistencyError.no_curve_index(a, s)
         minimal.add(ks[0])
         existential.update(ks)
     return minimal, existential

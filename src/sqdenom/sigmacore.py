@@ -49,6 +49,12 @@ __all__ = [
 class ConsistencyError(RuntimeError):
     """An exact internal cross-check failed: a library defect, not bad input."""
 
+    @classmethod
+    def no_curve_index(cls, a: int, s: int) -> "ConsistencyError":
+        """No k <= s has sigma_k(a) = s = sigma(a): min_k and analysis.k_set
+        both raise this."""
+        return cls(f"no curve index k <= {s} matches sigma({a})")
+
 
 class Decomposition(NamedTuple):
     """a = n^2 + b = m^2 - c.  A tuple, not a frozen dataclass: sigma_k
@@ -182,15 +188,14 @@ def min_k(a: int, s: int | None = None) -> int:
     for k in range(1, s + 1):
         if sigma_k(a, k) == s:
             return k
-    raise ConsistencyError(f"no curve index k <= {s} matches sigma({a})")
+    raise ConsistencyError.no_curve_index(a, s)
 
 
 class ZeroWindow(NamedTuple):
     """Closed interval [lo, hi] of s-values with tau(a, s) = 0.
 
     A NamedTuple, as Decomposition is, so windows compare by value (the
-    Surd ends compare by value) and, like Surd, are unhashable.  As a
-    frozen dataclass it compared by identity.
+    Surd ends compare by value) and, like Surd, are unhashable.
     """
 
     k: int
@@ -216,11 +221,10 @@ def zero_windows(a: int, k_max: int) -> list[ZeroWindow]:
     (2b+1)*a > b^2, which holds as (2b+1)*a >= b^2.  On the right,
     A = (m+sqrt(a+1))/(c-1) has the larger numerator and the smaller
     denominator of B = (m+sqrt(a))/c.  So a side's nonempty windows are
-    exactly k = 0..K.  One exact test at k_max settles the usual case
-    K = k_max, otherwise a bisection finds K: at most
-    1 + k_max.bit_length() comparisons per side, where a per-k scan makes
-    k_max + 1.  Surd ends are built only for the windows returned and the
-    empty windows probed.
+    exactly k = 0..K.  K is found by stepping down from k_max while the
+    window is empty: one exact comparison in the usual case K = k_max, at
+    most k_max - K + 1 per side in general.  Surd ends are built only for
+    the windows returned and the empty windows tested.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
@@ -235,26 +239,20 @@ def zero_windows(a: int, k_max: int) -> list[ZeroWindow]:
         lo = Surd(k * base, k, rad_lo, den_lo) if k else zero
         return ZeroWindow(k, lo, Surd((k + 1) * base, k + 1, rad_hi, den_hi), side)
 
-    # Per side, bisect for the last nonempty window and keep each nonempty
-    # probe for the output.  Invariant: window `good` is nonempty, window
-    # `bad` is empty or past k_max; den_lo = 0 leaves only k = 0.
-    found: list[tuple[int, dict[int, ZeroWindow]]] = []
+    # Last nonempty offset per side; den_lo = 0 leaves only k = 0, and the
+    # k = 0 window (lo = 0 < hi) is never empty.
+    last = []
     for spec in sides:
-        kept: dict[int, ZeroWindow] = {}
-        good, bad = 0, (k_max + 1 if spec[3] else 1)
-        k = bad - 1
-        while bad - good > 1:
+        k = k_max if spec[3] else 0
+        while k:
             w = window(k, *spec)
             if surd_cmp(w.lo, w.hi) <= 0:
-                kept[k] = w
-                good = k
-            else:
-                bad = k
-            k = (good + bad) // 2
-        found.append((good, kept))
-    out: list[ZeroWindow] = []
-    for k in range(max(k_last for k_last, _ in found) + 1):
-        for spec, (k_last, kept) in zip(sides, found):
-            if k <= k_last:
-                out.append(kept.get(k) or window(k, *spec))
-    return out
+                break
+            k -= 1
+        last.append(k)
+    return [
+        window(k, *spec)
+        for k in range(max(last) + 1)
+        for spec, k_last in zip(sides, last)
+        if k <= k_last
+    ]

@@ -298,7 +298,7 @@ def test_zero_windows_match_per_k_scan(a, k_max):
     assert repr(zero_windows(a, k_max)) == repr(zero_windows_scan(a, k_max))
 
 
-def test_zero_windows_compare_logarithmically(monkeypatch):
+def test_zero_windows_step_down_from_k_max(monkeypatch):
     calls = 0
 
     def counted(x, y):
@@ -307,9 +307,16 @@ def test_zero_windows_compare_logarithmically(monkeypatch):
         return surd_cmp(x, y)
 
     monkeypatch.setattr(sigmacore, "surd_cmp", counted)
+    # n^2 and n^2-1 have one crowding side, settled at k_max; n^2+n-1 has
+    # both full; n^2+7 ends its left side at k = 7.  The per-k scan made 224.
+    for e in (3, 6, 25, 150):
+        for family in _FAMILIES:
+            zero_windows(family(10**e), 8)
+    assert calls == 4 * (1 + 1 + 2 + 3)
+    calls = 0
     ws = zero_windows(10**12 + 7, 200)
-    # 1 + (200).bit_length() per side; the per-k scan makes 402
-    assert calls <= 18
+    # left: 200 down to its last nonempty k = 7; right: full.  The scan made 402
+    assert calls == (200 - 7 + 1) + 1
     assert ws == zero_windows(10**12 + 7, 200)
     with pytest.raises(TypeError):
         hash(ws[0])
