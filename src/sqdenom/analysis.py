@@ -9,9 +9,10 @@ modules and their tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
+from .confrac import first_pair_between
 from .exactmath import is_perfect_square
 from .sigmacore import (
     ConsistencyError,
@@ -40,9 +41,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One row of a sigma sweep; internally consistent by construction."""
+class SweepRecord(NamedTuple):
+    """One row of a sigma sweep; sweep checks each row before it builds it."""
 
     a: int
     sigma: int
@@ -52,53 +52,40 @@ class SweepRecord:
     min_k: int
     t_first: int
 
-    def __post_init__(self):
-        if not (self.sigma1 <= self.sigma <= self.upper):
-            raise ValueError(f"bounds violated at a={self.a}")
-        if self.on_bound != (self.sigma == self.sigma1):
-            raise ValueError(f"on_bound flag inconsistent at a={self.a}")
-        if tau(self.a, self.sigma) != 1:
-            raise ValueError(f"sigma witness count is not 1 at a={self.a}")
 
-
-@dataclass(frozen=True)
-class TauProfile:
-    """tau(a, s) for s = 1..s_max; steps by at most 1 and enters at 1."""
+class TauProfile(NamedTuple):
+    """tau(a, s) for s = 1..s_max, as tau_profile checked it."""
 
     a: int
     counts: tuple[int, ...]
 
-    def __post_init__(self):
-        prev = 0
-        seen_positive = False
-        for s, cur in enumerate(self.counts, start=1):
-            if abs(cur - prev) > 1:
-                raise ValueError(f"tau jump at a={self.a}, s={s}")
-            if cur > 0 and not seen_positive:
-                if cur != 1:
-                    raise ValueError(f"tau enters above 1 at a={self.a}, s={s}")
-                seen_positive = True
-            prev = cur
-
 
 def tau_profile(a: int, s_max: int) -> TauProfile:
+    """tau(a, s) for s = 1..s_max, checked to step by at most 1 and to enter at 1.
+
+    The count before s = 1 is taken as 0, so a first positive count above 1
+    is a jump of at least 2, and the step check alone covers the entry.
+    """
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
-    return TauProfile(a, tuple(tau(a, s) for s in range(1, s_max + 1)))
+    counts = tuple(tau(a, s) for s in range(1, s_max + 1))
+    for s, (prev, cur) in enumerate(zip((0,) + counts, counts), start=1):
+        if abs(cur - prev) > 1:
+            raise ValueError(f"tau jump at a={a}, s={s}")
+    return TauProfile(a, counts)
 
 
 def _record(a: int) -> SweepRecord:
-    s = sigma(a)
+    """The row for a from one kernel call, once sigma is checked against its
+    bounds and the kernel's t against the witness set at sigma."""
+    t, s = first_pair_between(a, a + 1)
     s1 = sigma_lower(a)
-    return SweepRecord(
-        a=a,
-        sigma=s,
-        sigma1=s1,
-        upper=sigma_upper(a),
-        on_bound=s == s1,
-        min_k=min_k(a, s),
-        t_first=t_set(a, s)[0],
-    )
+    upper = sigma_upper(a)
+    if not (s1 <= s <= upper):
+        raise ValueError(f"bounds violated at a={a}")
+    if t_set(a, s) != [t]:
+        raise ValueError(f"kernel t={t} is not the only witness at a={a}, s={s}")
+    return SweepRecord(a, s, s1, upper, s == s1, min_k(a, s), t)
 
 
 def sweep(a_from: int, a_to: int) -> list[SweepRecord]:
@@ -216,6 +203,20 @@ def k_set(n: int) -> tuple[set[int], set[int]]:
     return minimal, existential
 
 
+def _tau_decrements(a: int, s_max: int):
+    """Yield (s, k) for each s <= s_max with tau(a, s) = k, tau(a, s+1) = k-1.
+
+    tau steps by at most 1, so every fall is a fall by exactly 1.  The
+    count is carried forward: one tau call per s, s_max + 1 in all.
+    """
+    prev = tau(a, 1)
+    for s in range(1, s_max + 1):
+        cur = tau(a, s + 1)
+        if cur < prev:
+            yield s, prev
+        prev = cur
+
+
 def conjecture1_search(a_max: int, k_max: int, s_max: int) -> dict[int, list[int | None]]:
     """First tau decrement from k to k-1 for every 2 <= a <= a_max, k <= k_max.
 
@@ -236,23 +237,20 @@ def conjecture1_search(a_max: int, k_max: int, s_max: int) -> dict[int, list[int
         if is_perfect_square(a) is not None or is_perfect_square(a + 1) is not None:
             continue
         first: list[int | None] = [None] * k_max
-        prev = tau(a, 1)
-        for s in range(1, s_max + 1):
-            cur = tau(a, s + 1)
-            # tau steps by at most 1, so cur < prev is a drop from prev to prev-1
-            if cur < prev <= k_max and first[prev - 1] is None:
-                first[prev - 1] = s
+        for s, k in _tau_decrements(a, s_max):
+            if k <= k_max and first[k - 1] is None:
+                first[k - 1] = s
                 if None not in first:
                     break
-            prev = cur
         found[a] = first
     return found
 
 
 def upward_closure_check(a: int, s_max: int) -> list[int]:
-    """All s <= s_max where tau(a, s) > 0 but tau(a, s+1) = 0."""
+    """All s <= s_max where tau(a, s) > 0 but tau(a, s+1) = 0: the
+    decrements from 1 to 0."""
     if a < 1:
         raise ValueError("a must be >= 1")
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
-    return [s for s in range(1, s_max + 1) if tau(a, s) > 0 and tau(a, s + 1) == 0]
+    return [s for s, k in _tau_decrements(a, s_max) if k == 1]

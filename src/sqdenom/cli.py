@@ -13,7 +13,6 @@ import contextlib
 import csv
 import json
 import sys
-from dataclasses import asdict, fields
 from fractions import Fraction
 
 from .analysis import (
@@ -94,12 +93,12 @@ def cmd_sweep(args) -> int:
     records = sweep(args.a_from, args.a_to)
     with _output(args.out) as fh:
         if args.format == "json":
-            payload = [asdict(r) for r in records]
+            payload = [r._asdict() for r in records]
             fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         else:
             _write_csv(
                 fh,
-                [f.name for f in fields(SweepRecord)],
+                SweepRecord._fields,
                 ([r.a, r.sigma, r.sigma1, r.upper, int(r.on_bound), r.min_k, r.t_first]
                  for r in records),
             )

@@ -22,9 +22,9 @@ sqrt(d) terms, and serves direct expansion queries only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .exactmath import _sign_linear, isqrt
 
@@ -38,8 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CFExpansion:
+class CFExpansion(NamedTuple):
     """[a0; body] with the body repeating forever.
 
     A perfect-square radicand yields the finite expansion [a0] with an

@@ -5,6 +5,7 @@ from math import isqrt
 
 import pytest
 
+from sqdenom import analysis
 from sqdenom.analysis import (
     SweepRecord,
     TauProfile,
@@ -19,6 +20,7 @@ from sqdenom.analysis import (
     tau_profile,
     upward_closure_check,
 )
+from sqdenom.sigmacore import tau
 
 from conftest import first_decrement
 
@@ -36,24 +38,25 @@ def test_sweep_validation():
         sweep(5, 2)
 
 
-def test_sweep_record_rejects_inconsistent_rows():
-    with pytest.raises(ValueError):
-        SweepRecord(19, 5, 3, 9, True, 2, 22)
-    with pytest.raises(ValueError):
-        SweepRecord(19, 2, 3, 9, False, 2, 22)
-    with pytest.raises(ValueError):
-        SweepRecord(19, 6, 3, 9, False, 2, 22)
+def test_sweep_record_rejects_inconsistent_rows(monkeypatch):
+    # at a = 19: sigma_1 = 3, upper bound 9, and t_set(19, 5) == [22]
+    for pair in [(9, 2), (44, 10), (23, 5)]:
+        monkeypatch.setattr(analysis, "first_pair_between", lambda x, y, pair=pair: pair)
+        with pytest.raises(ValueError):
+            sweep(19, 19)
 
 
-def test_tau_profile_shape():
+def test_tau_profile_shape(monkeypatch):
     assert tau_profile(8, 10).counts == (0, 0, 0, 0, 0, 1, 1, 1, 1, 1)
     with pytest.raises(ValueError):
         tau_profile(8, 0)
     # a jump of two in one step is impossible
+    monkeypatch.setattr(analysis, "tau", lambda a, s: (0, 0, 2)[s - 1])
     with pytest.raises(ValueError):
-        TauProfile(99, (0, 0, 2))
+        tau_profile(99, 3)
     # counts may fall back to zero and re-enter, always through one
-    TauProfile(99, (0, 1, 0, 1, 2, 1))
+    monkeypatch.setattr(analysis, "tau", lambda a, s: (0, 1, 0, 1, 2, 1)[s - 1])
+    assert tau_profile(99, 6) == TauProfile(99, (0, 1, 0, 1, 2, 1))
 
 
 def test_on_bound_fraction_value():
@@ -185,6 +188,9 @@ def test_conjecture1_witness_is_genuine():
 def test_upward_closure_check():
     assert upward_closure_check(12, 3) == [2]
     assert upward_closure_check(2, 100) == []
+    for a in range(1, 201):
+        expected = [s for s in range(1, 301) if tau(a, s) > 0 and tau(a, s + 1) == 0]
+        assert upward_closure_check(a, 300) == expected, a
     with pytest.raises(ValueError):
         upward_closure_check(0, 5)
     with pytest.raises(ValueError):

@@ -212,12 +212,15 @@ def test_analyze_symmetry_rejects_full_range_with_d_max(capsys, tmp_path):
 def test_cli_import_loads_no_multiprocessing():
     src = os.path.dirname(os.path.dirname(sqdenom.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = "import sys, sqdenom.cli; print('multiprocessing' in sys.modules)"
+    probe = (
+        "import sys, sqdenom.cli; "
+        "print([m for m in ('multiprocessing', 'dataclasses', 'inspect') if m in sys.modules])"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, check=True, timeout=60,
     ).stdout
-    assert out == "False\n"
+    assert out == "[]\n"
 
 
 def test_analyze_conjecture1(capsys):
