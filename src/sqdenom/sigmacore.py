@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .confrac import first_pair_between
+from .confrac import first_pair_between, is_first_rational_between
 from .exactmath import Surd, isqrt, surd_cmp
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "tau",
     "t_set",
     "sigma",
+    "certified_first_pair",
     "sigma_l",
     "sigma_r",
     "sigma_k",
@@ -48,12 +49,6 @@ __all__ = [
 
 class ConsistencyError(RuntimeError):
     """An exact internal cross-check failed: a library defect, not bad input."""
-
-    @classmethod
-    def no_curve_index(cls, a: int, s: int) -> "ConsistencyError":
-        """No k <= s has sigma_k(a) = s = sigma(a): min_k and analysis.k_set
-        both raise this."""
-        return cls(f"no curve index k <= {s} matches sigma({a})")
 
 
 class Decomposition(NamedTuple):
@@ -123,6 +118,12 @@ def sigma_k(a: int, k: int) -> int:
     floor((k*n + k*sqrt(a+1))/(b+1)) equals (k*n + isqrt(k^2*(a+1)))//(b+1)
     because no integer fits between the exact numerator and its floor (same
     argument as floor_surd); likewise on the right.
+
+    Strictly increasing in k, by at least 1 per step, because
+    M = max(sigma_l, sigma_r) >= 1 for every a >= 0: then
+    floor((k+1)*M) >= floor(k*M + 1) = floor(k*M) + 1.  As b + c = 2n + 1,
+    either b <= n, and sigma_l >= (n + sqrt(a+1))/(n+1) >= 1; or c <= n,
+    and sigma_r >= (n+1)/n > 1.  So at most one k has sigma_k(a) = sigma(a).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -156,6 +157,20 @@ def sigma(a: int) -> int:
     return first_pair_between(a, a + 1)[1]
 
 
+def certified_first_pair(a: int) -> tuple[int, int]:
+    """The kernel's (t, s) for (a, a+1), once the Stern-Brocot certificate
+    and tau(a, s) = 1 have confirmed it; ConsistencyError otherwise.
+
+    sigma(a) is left uncertified, as it is the hot path of point queries.
+    """
+    if a < 0:
+        raise ValueError("a must be >= 0")
+    t, s = first_pair_between(a, a + 1)
+    if not (is_first_rational_between(a, a + 1, t, s) and tau(a, s) == 1):
+        raise ConsistencyError(f"sigma certificate failed at a={a}: t={t} s={s}")
+    return t, s
+
+
 def on_bound_criterion(a: int) -> bool:
     """Whether sigma(a) attains the lower bound sigma_1(a).
 
@@ -179,16 +194,17 @@ def on_bound_criterion(a: int) -> bool:
 
 
 def min_k(a: int, s: int | None = None) -> int:
-    """Least k >= 1 with sigma_k(a) = sigma(a); pass s = sigma(a) if known.
+    """The one k >= 1 with sigma_k(a) = sigma(a); pass s = sigma(a) if known.
 
-    Bounded by sigma(a): sigma_k >= k+1 always, so larger k cannot match.
+    sigma_k strictly increases in k (see sigma_k), so the first match is the
+    only one, and sigma_k >= k+1 bounds the walk by sigma(a).
     """
     if s is None:
         s = sigma(a)
     for k in range(1, s + 1):
         if sigma_k(a, k) == s:
             return k
-    raise ConsistencyError.no_curve_index(a, s)
+    raise ConsistencyError(f"no curve index k <= {s} matches sigma({a})")
 
 
 class ZeroWindow(NamedTuple):

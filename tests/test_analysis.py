@@ -5,7 +5,7 @@ from math import isqrt
 
 import pytest
 
-from sqdenom import analysis
+from sqdenom import analysis, sigmacore
 from sqdenom.analysis import (
     SweepRecord,
     TauProfile,
@@ -20,7 +20,7 @@ from sqdenom.analysis import (
     tau_profile,
     upward_closure_check,
 )
-from sqdenom.sigmacore import tau
+from sqdenom.sigmacore import ConsistencyError, min_k, sigma, sigma_k, tau
 
 from conftest import first_decrement
 
@@ -40,10 +40,15 @@ def test_sweep_validation():
 
 def test_sweep_record_rejects_inconsistent_rows(monkeypatch):
     # at a = 19: sigma_1 = 3, upper bound 9, and t_set(19, 5) == [22]
-    for pair in [(9, 2), (44, 10), (23, 5)]:
-        monkeypatch.setattr(analysis, "first_pair_between", lambda x, y, pair=pair: pair)
-        with pytest.raises(ValueError):
-            sweep(19, 19)
+    with monkeypatch.context() as m:
+        for pair in [(9, 2), (44, 10), (23, 5)]:
+            m.setattr(sigmacore, "first_pair_between", lambda x, y, pair=pair: pair)
+            with pytest.raises(ConsistencyError):
+                sweep(19, 19)
+    # a certified sigma = 5 below a lower bound of 6 breaks the row check
+    monkeypatch.setattr(analysis, "sigma_lower", lambda a: 6)
+    with pytest.raises(ConsistencyError, match="bounds violated"):
+        sweep(19, 19)
 
 
 def test_tau_profile_shape(monkeypatch):
@@ -135,18 +140,24 @@ def test_offbound_minima():
 
 
 def test_k_set_values():
-    assert k_set(2) == ({1}, {1})
-    assert k_set(10) == ({1, 2, 3, 4}, {1, 2, 3, 4})
-    # 14 is never the matching curve index anywhere in this interval,
-    # under either convention
+    assert k_set(2) == {1}
+    assert k_set(10) == {1, 2, 3, 4}
+    # 14 is never the matching curve index anywhere in this interval
     expected = set(range(1, 14)) | {15, 18, 19, 22, 29, 40}
-    assert k_set(100) == (expected, expected)
+    assert k_set(100) == expected
 
 
 def test_k_set_minimal_is_subset_of_existential():
-    for n in range(2, 21):
-        minimal, existential = k_set(n)
-        assert minimal <= existential
+    # the every-index convention, scanned over all k <= sigma(a), finds
+    # exactly one index per a: the least one that k_set collects
+    for n in range(2, 31):
+        existential = set()
+        for a in range(n * n + 1, (n + 1) ** 2):
+            s = sigma(a)
+            ks = [k for k in range(1, s + 1) if sigma_k(a, k) == s]
+            assert ks == [min_k(a, s)], a
+            existential.update(ks)
+        assert k_set(n) == existential, n
 
 
 def test_k_set_validation():
@@ -177,7 +188,7 @@ def test_conjecture1_search_matches_per_k_scan():
 
 
 def test_conjecture1_witness_is_genuine():
-    from sqdenom.sigmacore import tau
+    from sqdenom.sigmacore import ConsistencyError, min_k, sigma, sigma_k, tau
 
     for a, k in [(19, 1), (12, 1), (19, 2), (54, 2)]:
         s = conjecture1_search(a, k, 500)[a][k - 1]

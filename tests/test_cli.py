@@ -32,18 +32,19 @@ def test_sigma_command_large_a(capsys):
 
 
 def test_consistency_failures_exit_four(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "first_pair_between", lambda x, y: (850, 28))
-    for command in ("sigma", "first-square"):
-        code, out, err = run(capsys, command, "991")
-        assert (code, out) == (4, "")
-        assert err.startswith("internal error:") and err.count("\n") == 1
+    with monkeypatch.context() as m:
+        m.setattr(sigmacore, "first_pair_between", lambda x, y: (850, 28))
+        for argv in (("sigma", "991"), ("first-square", "991"),
+                     ("sweep", "--from", "19", "--to", "19")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (4, ""), argv
+            assert err.startswith("internal error:") and err.count("\n") == 1
     # a curve family that never reaches sigma leaves min_k without an index
     monkeypatch.setattr(sigmacore, "sigma_k", lambda a, k: 0)
     code, out, err = run(capsys, "sweep", "--from", "1", "--to", "3", "--jobs", "1")
     assert (code, out) == (4, "")
     assert err.startswith("internal error: no curve index") and err.count("\n") == 1
-    # k_set takes the least index from its own scan and keeps the same guarantee
-    monkeypatch.setattr(analysis, "sigma_k", lambda a, k: 0)
+    # k_set takes each index from min_k and keeps the same guarantee
     code, out, err = run(capsys, "analyze", "kset", "--n", "2")
     assert (code, out) == (4, "")
     assert err.startswith("internal error: no curve index") and err.count("\n") == 1

@@ -284,6 +284,23 @@ _FAMILIES = (
 @settings(max_examples=300)
 @given(
     st.one_of(
+        st.integers(min_value=0, max_value=10**300),
+        st.builds(
+            lambda n, family: family(n),
+            st.integers(min_value=1, max_value=10**150),
+            st.sampled_from(_FAMILIES),
+        ),
+    ),
+    st.integers(min_value=1, max_value=10**150),
+)
+def test_sigma_k_strictly_increases(a, k):
+    # max(sigma_l, sigma_r) >= 1, so min_k's first match is the only one
+    assert sigma_k(a, k + 1) > sigma_k(a, k)
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(
         st.integers(min_value=0, max_value=10**6),
         st.builds(
             lambda n, family: family(n),
