@@ -85,12 +85,8 @@ def cmd_sweep(args) -> int:
             payload = [r._asdict() for r in records]
             fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         else:
-            _write_csv(
-                fh,
-                SweepRecord._fields,
-                ([r.a, r.sigma, r.sigma1, r.upper, int(r.on_bound), r.min_k, r.t_first]
-                 for r in records),
-            )
+            # every field is an int; int() writes on_bound as 1/0
+            _write_csv(fh, SweepRecord._fields, (map(int, r) for r in records))
     return 0
 
 
@@ -120,7 +116,6 @@ def _report_symmetry(args) -> dict:
     agg = rep["aggregate"]
     verdict = "pass" if Fraction(1, 2) <= agg <= Fraction(7, 10) else "indeterminate"
     return {
-        "report": "symmetry",
         "params": {
             "n_min": args.n_min,
             "n_max": args.n_max,
@@ -147,7 +142,6 @@ def _report_kset(args) -> dict:
         },
     ]
     return {
-        "report": "kset",
         "params": {"n": args.n},
         "minimal": ks,
         "existential": ks,
@@ -182,7 +176,6 @@ def _report_offbound(args) -> dict:
         )
     all_pass = all(e["verdict"] == "pass" for e in peaks + minima)
     return {
-        "report": "offbound",
         "params": {"n_from": args.n_from, "n_to": args.n_to},
         "peaks": peaks,
         "minima": minima,
@@ -201,7 +194,6 @@ def _report_conjecture1(args) -> dict:
             else:
                 findings.append({"a": a, "k": k, "s": s, "verdict": "pass"})
     return {
-        "report": "conjecture1",
         "params": {"a_max": args.a_max, "k_max": args.k_max, "s_max": args.s_max},
         "findings": findings,
         "indeterminate_count": indeterminate,
@@ -212,7 +204,6 @@ def _report_conjecture1(args) -> dict:
 def _report_closure(args) -> dict:
     violations = upward_closure_check(args.a, args.s_max)
     return {
-        "report": "closure",
         "params": {"a": args.a, "s_max": args.s_max},
         "violations": violations,
         # a violation is a definite exact finding, so the property fails
@@ -220,17 +211,8 @@ def _report_closure(args) -> dict:
     }
 
 
-_ANALYZE_REPORTS = {
-    "symmetry": _report_symmetry,
-    "kset": _report_kset,
-    "offbound": _report_offbound,
-    "conjecture1": _report_conjecture1,
-    "closure": _report_closure,
-}
-
-
 def cmd_analyze(args) -> int:
-    report = _ANALYZE_REPORTS[args.subreport](args)
+    report = {"report": args.subreport, **args.build(args)}
     with _output(args.out) as fh:
         fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0
@@ -298,31 +280,31 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--d-max", type=int, default=None)
     q.add_argument("--full-range", action="store_true")
     q.add_argument("--out", default=None)
-    q.set_defaults(func=cmd_analyze)
+    q.set_defaults(func=cmd_analyze, build=_report_symmetry)
 
     q = asub.add_parser("kset", help="curve indices realized on one square interval")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--out", default=None)
-    q.set_defaults(func=cmd_analyze)
+    q.set_defaults(func=cmd_analyze, build=_report_kset)
 
     q = asub.add_parser("offbound", help="peaks and sigma=5 minima per interval")
     q.add_argument("--n-from", dest="n_from", type=int, default=4)
     q.add_argument("--n-to", dest="n_to", type=int, default=20)
     q.add_argument("--out", default=None)
-    q.set_defaults(func=cmd_analyze)
+    q.set_defaults(func=cmd_analyze, build=_report_offbound)
 
     q = asub.add_parser("conjecture1", help="tau decrement witness table")
     q.add_argument("--a-max", type=int, default=300)
     q.add_argument("--k-max", type=int, default=4)
     q.add_argument("--s-max", type=int, default=500)
     q.add_argument("--out", default=None)
-    q.set_defaults(func=cmd_analyze)
+    q.set_defaults(func=cmd_analyze, build=_report_conjecture1)
 
     q = asub.add_parser("closure", help="points where tau drops back to zero")
     q.add_argument("--a", type=int, required=True)
     q.add_argument("--s-max", type=int, default=100)
     q.add_argument("--out", default=None)
-    q.set_defaults(func=cmd_analyze)
+    q.set_defaults(func=cmd_analyze, build=_report_closure)
 
     return parser
 

@@ -40,14 +40,14 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _scatter_sigma(title, points, curves=None, width=760, height=420):
+def _scatter_sigma(title, points, curves=None, width=760):
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
     y_hi = max(ys)
-    frame = svg.Frame(width, height, min(xs), max(xs), 0, y_hi + 2)
+    frame = svg.Frame(width, 420, min(xs), max(xs), 0, y_hi + 2)
     parts = svg.open_svg(frame, title)
     svg.draw_axes(parts, frame, "a", "sigma(a)")
-    for label, color, pts in curves or []:
+    for color, pts in curves or []:
         # split runs where the curve leaves the visible band
         run = []
         for x, y in pts:
@@ -84,8 +84,8 @@ def _fig12(out_dir: Path) -> None:
         [(r.a, r.sigma, r.sigma1, r.upper) for r in records],
     )
     curves = [
-        ("lower", LOWER_COLOR, [(r.a, r.sigma1) for r in records]),
-        ("upper", UPPER_COLOR, [(r.a, r.upper) for r in records]),
+        (LOWER_COLOR, [(r.a, r.sigma1) for r in records]),
+        (UPPER_COLOR, [(r.a, r.upper) for r in records]),
     ]
     (out_dir / "fig2.svg").write_text(
         _scatter_sigma("sigma(a) with its bounds, 1 <= a <= 500", points, curves)
@@ -157,7 +157,7 @@ def _fig5(out_dir: Path) -> None:
     curves = []
     for i, k in enumerate(FIG5_K_VALUES):
         pts = [(a, sigma_k(a, k)) for a in range(a_lo, a_hi + 1)]
-        curves.append((f"k={k}", _CURVE_COLORS[i % len(_CURVE_COLORS)], pts))
+        curves.append((_CURVE_COLORS[i % len(_CURVE_COLORS)], pts))
         curve_rows.extend((a, k, y) for a, y in pts)
     curve_rows.sort()
     _write_csv(out_dir / "fig5_curves.csv", ["a", "k", "sigma_k"], curve_rows)

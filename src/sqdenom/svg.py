@@ -21,15 +21,13 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _tick_step(span: float, target: int = 8) -> float:
-    # 1-2-5 progression
-    if span <= 0:
-        return 1.0
+def _tick_step(span: float) -> float:
+    # 1-2-5 progression, about 8 ticks
     step = 1.0
-    while span / step > target:
+    while span / step > 8:
         for mult in (2.0, 2.5, 2.0):
             step *= mult
-            if span / step <= target:
+            if span / step <= 8:
                 break
     return step
 
@@ -120,23 +118,19 @@ def draw_axes(parts: list[str], frame: Frame, x_label: str, y_label: str) -> Non
     )
 
 
-def draw_points(parts, frame, points, color="#000", radius=1.6) -> None:
+def draw_points(parts, frame, points) -> None:
     for x, y in points:
         parts.append(
             f'<circle cx="{_fmt(frame.x(x))}" cy="{_fmt(frame.y(y))}" '
-            f'r="{radius}" fill="{color}"/>'
+            'r="1.6" fill="#000"/>'
         )
 
 
-def draw_polyline(parts, frame, points, color, width=1.2) -> None:
-    if len(points) < 2:
-        if points:
-            draw_points(parts, frame, points, color=color, radius=1.2)
-        return
+def draw_polyline(parts, frame, points, color) -> None:
     coords = " ".join(f"{_fmt(frame.x(x))},{_fmt(frame.y(y))}" for x, y in points)
     parts.append(
         f'<polyline points="{coords}" fill="none" stroke="{color}" '
-        f'stroke-width="{width}"/>'
+        'stroke-width="1.2"/>'
     )
 
 

@@ -5,8 +5,9 @@ roots at high precision for sign checks, a plain denominator-first scan
 for minimal fractions, a t-by-t walk for witness counts, a square-twice
 integer test for s against k*(sqrt(a) + sqrt(a+1)), convergents
 folded from the partial quotients of an expansion, a per-(a, k) scan
-for the first witness-count decrement, and a per-k scan of the zero
-windows that compares every window's ends.
+for the first witness-count decrement, a per-k scan of the zero
+windows that compares every window's ends, and a run-length Stern-Brocot
+descent for the first rational between two square roots.
 """
 
 from decimal import Decimal, localcontext
@@ -134,3 +135,44 @@ def zero_windows_scan(a, k_max):
             if surd_cmp(lo, hi) <= 0:
                 out.append(ZeroWindow(k, lo, hi, side))
     return out
+
+
+def _last_true(pred):
+    """Largest j >= 1 with pred(j), for pred true at 1 and true exactly on
+    an initial run: double until it fails, then bisect."""
+    lo, hi = 1, 2
+    while pred(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def run_length_first_pair(x, y):
+    """Oracle for first_pair_between: Stern-Brocot descent to the first
+    mediant p/q strictly inside (sqrt(x), sqrt(y)), deciding each step by
+    p^2 against x*q^2 or y*q^2 in integers.
+
+    Consecutive equal turns add the same parent again and again, and the
+    test stays true along a run and false after it, so each run is one
+    doubling-then-bisection search.  The number of runs is the length of
+    the answer's continued fraction, so the descent is logarithmic where
+    plain mediant descent is O(sqrt(x)) along the integer spine.
+    """
+    if x < 0 or y <= x:
+        raise ValueError("need 0 <= x < y")
+    a, b, c, d = 0, 1, 1, 0  # lo = a/b, hi = c/d
+    while True:
+        p, q = a + c, b + d
+        if p * p <= x * q * q:
+            j = _last_true(lambda j: (a + j * c) ** 2 <= x * (b + j * d) ** 2)
+            a, b = a + j * c, b + j * d
+        elif p * p >= y * q * q:
+            j = _last_true(lambda j: (c + j * a) ** 2 >= y * (d + j * b) ** 2)
+            c, d = c + j * a, d + j * b
+        else:
+            return p, q

@@ -3,8 +3,9 @@
 Every test times its own work, prints "[criterion NN] PASS/FAIL ..." with
 the headline numbers, and then asserts.  The curve-index check (07) is
 known to fail: the realized index set over 100^2 < a < 101^2 lacks 14
-under both counting conventions, and the test reports the computed sets
-instead of hiding the gap.
+(the least-index and every-index conventions give one set, since sigma_k
+strictly increases in k), and the test reports the computed set instead
+of hiding the gap.
 """
 
 import re

@@ -1,6 +1,7 @@
 """Command-line surface: output formats, exit codes, determinism."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 import sqdenom
 from sqdenom import analysis, cli, sigmacore
 from sqdenom.cli import main
+from sqdenom.figures import heatmap_data
 
 
 def run(capsys, *argv):
@@ -133,6 +135,14 @@ def test_error_exit_codes(capsys, tmp_path):
     assert code == 2 and err.startswith("error:")
     code, _, err = run(capsys, "heatmap", "--mode", "delta", "--s-min", "1", "--format", "csv")
     assert code == 2 and err.startswith("error:")
+    for argv, message in [
+        (["--a-min", "5", "--a-max", "3"], "error: need 1 <= a-min <= a-max\n"),
+        (["--s-min", "0"], "error: need 1 <= s-min <= s-max\n"),
+    ]:
+        assert run(capsys, "heatmap", *argv) == (2, "", message), argv
+    # the CLI's --mode choices never reach the library's own mode check
+    with pytest.raises(ValueError):
+        heatmap_data("bogus", 8, 9, 2, 3)
     missing = tmp_path / "no" / "such" / "dir" / "x.csv"
     code, _, err = run(capsys, "sweep", "--from", "1", "--to", "2", "--out", str(missing))
     assert code == 3 and err.startswith("i/o error:")
@@ -262,3 +272,30 @@ def test_analyze_out_file(tmp_path, capsys):
     code, out, _ = run(capsys, "analyze", "closure", "--a", "2", "--out", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["report"] == "closure"
+
+
+# sha256 of stdout for each command; any change to a report's keys or
+# values, or to the sweep's CSV or JSON layout, shows up here.
+OUTPUT_SHA256 = {
+    ("sweep", "--from", "1", "--to", "20000"):
+        "502d21e847b99b7b1311f4e92221ac87d8fdd8eece734b8626e72a54e2e705ee",
+    ("sweep", "--from", "1", "--to", "300", "--format", "json"):
+        "3c811cdfcd6fb29e8c89bfccc5f1b010f47ffea5ef71275184fb362a18113675",
+    ("analyze", "kset", "--n", "100"):
+        "614a343d6fdd1252951eb8e1021baf4eeec00e1f6ebb86b467604aa27c843033",
+    ("analyze", "symmetry", "--n-min", "2", "--n-max", "44"):
+        "d4a9af8ce979e9ee1693b252eca1056ecb74ff8a3ea093f9a9d3bbcffbe37ed2",
+    ("analyze", "offbound", "--n-from", "7", "--n-to", "20"):
+        "92a9d2718a41b14a9073fd7bd99b89337acac5bc5acd6c3846778b5f4269dfcf",
+    ("analyze", "conjecture1", "--a-max", "300", "--k-max", "4", "--s-max", "500"):
+        "a8e1110951aaf720e81e44f75d806de6f1b91af892481f545372c0470ec2e85c",
+    ("analyze", "closure", "--a", "12", "--s-max", "100"):
+        "b88d01c5dec831668b9cebf0d4db169eade26b41d756172a061e2be7ee5afb4f",
+}
+
+
+def test_output_bytes_are_pinned(capsys):
+    for argv, digest in OUTPUT_SHA256.items():
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv

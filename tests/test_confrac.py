@@ -17,7 +17,7 @@ from sqdenom.confrac import (
 )
 from sqdenom.exactmath import is_perfect_square
 
-from conftest import brute_first_rational, convergent
+from conftest import brute_first_rational, convergent, run_length_first_pair
 
 
 def test_sqrt_cf_small_radicands():
@@ -153,7 +153,31 @@ def test_kernel_matches_mediant_descent(x, y):
     x, y = min(x, y), max(x, y)
     t, s = first_pair_between(x, y)
     assert Fraction(t, s) == stern_brocot_between(x, y), (x, y)
+    assert run_length_first_pair(x, y) == (t, s), (x, y)
     assert is_first_rational_between(x, y, t, s), (x, y)
+
+
+_huge_ends = st.one_of(
+    st.integers(min_value=0, max_value=10**300),
+    st.integers(min_value=0, max_value=10**150).map(lambda n: n * n),
+)
+_huge_intervals = st.one_of(
+    st.tuples(_huge_ends, _huge_ends).filter(lambda e: e[0] != e[1]).map(sorted),
+    # narrow intervals, with a square at the lower or the upper end
+    st.tuples(_huge_ends, st.integers(min_value=1, max_value=100)).map(
+        lambda e: (e[0], e[0] + e[1])
+    ),
+    st.tuples(_huge_ends, st.integers(min_value=1, max_value=100)).filter(
+        lambda e: e[0] >= e[1]
+    ).map(lambda e: (e[0] - e[1], e[0])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_huge_intervals)
+def test_kernel_matches_run_length_descent(interval):
+    x, y = interval
+    assert first_pair_between(x, y) == run_length_first_pair(x, y), (x, y)
 
 
 def test_kernel_edge_intervals():

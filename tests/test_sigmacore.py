@@ -26,6 +26,7 @@ from sqdenom.sigmacore import (
 from conftest import (
     brute_first_rational,
     cmp_int_vs_sum_sqrt,
+    run_length_first_pair,
     tau_brute,
     zero_windows_scan,
 )
@@ -158,6 +159,9 @@ def test_sigma_on_worst_case_families(n):
         assert is_first_rational_between(a, a + 1, t, s), a
         assert tau(a, s) == 1 and tau(a, s - 1) == 0, a
         assert sigma(a) == s
+    for a in (n * n, n * n - 1, n * n + n - 1, n * n + 7):
+        t, s = run_length_first_pair(a, a + 1)
+        assert first_pair_between(a, a + 1) == (t, s) and sigma(a) == s, a
 
 
 def test_sigma_bound_surds():
