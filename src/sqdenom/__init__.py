@@ -21,7 +21,7 @@ from .analysis import (
     tau_profile,
     upward_closure_check,
 )
-from .confrac import CFExpansion, first_rational_between, sqrt_cf, stern_brocot_between
+from .confrac import CFExpansion, first_rational_between, sqrt_cf
 from .exactmath import (
     Surd,
     floor_surd,

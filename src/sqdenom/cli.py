@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import sys
 from fractions import Fraction
@@ -26,8 +25,8 @@ from .analysis import (
     upward_closure_check,
 )
 from .confrac import sqrt_cf
-from .figures import generate_figures, heatmap_data, heatmap_svg
-from .sigmacore import ConsistencyError, certified_first_pair, t_set, tau
+from .figures import generate_figures, heatmap_data, heatmap_svg, write_csv
+from .sigmacore import ConsistencyError, certified_first_pair, sigma_upper, t_set, tau
 
 
 def _output(path: str | None):
@@ -72,12 +71,6 @@ def cmd_cf(args) -> int:
     return 0
 
 
-def _write_csv(fh, header, rows) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
 def cmd_sweep(args) -> int:
     records = sweep(args.a_from, args.a_to)
     with _output(args.out) as fh:
@@ -86,7 +79,7 @@ def cmd_sweep(args) -> int:
             fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         else:
             # every field is an int; int() writes on_bound as 1/0
-            _write_csv(fh, SweepRecord._fields, (map(int, r) for r in records))
+            write_csv(fh, SweepRecord._fields, (map(int, r) for r in records))
     return 0
 
 
@@ -97,7 +90,7 @@ def cmd_heatmap(args) -> int:
         if svg is not None:
             fh.write(svg)
         else:
-            _write_csv(fh, header, rows)
+            write_csv(fh, header, rows)
     return 0
 
 
@@ -203,11 +196,19 @@ def _report_conjecture1(args) -> dict:
 
 def _report_closure(args) -> dict:
     violations = upward_closure_check(args.a, args.s_max)
+    # tau(a, s+1) counts the integers in an open interval of length
+    # (s+1)*(sqrt(a+1) - sqrt(a)), so a drop from 1 to 0 at s needs
+    # s + 1 < sqrt(a) + sqrt(a+1), that is s <= sigma_upper(a) - 2
+    if violations:
+        verdict = "fail"  # a violation is a definite exact finding
+    elif args.s_max >= sigma_upper(args.a) - 2:
+        verdict = "pass"
+    else:
+        verdict = "indeterminate"
     return {
         "params": {"a": args.a, "s_max": args.s_max},
         "violations": violations,
-        # a violation is a definite exact finding, so the property fails
-        "verdict": "pass" if not violations else "fail",
+        "verdict": verdict,
     }
 
 

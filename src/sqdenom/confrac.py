@@ -15,9 +15,10 @@ one floor and one exact sign test on integers of O(log d) bits.  Convergent
 denominators grow at least like Fibonacci numbers, so the depth is
 O(log s); for (sqrt(a), sqrt(a+1)) that is O(log a), and 2-3 levels on the
 families n^2, n^2-1, n^2+n-1 and n^2+7.  Stern-Brocot mediant descent, one
-step per mediant and so O(sqrt(a)) along the integer spine, stays as the
-independent oracle.  sqrt_cf builds a whole period, which can have about
-sqrt(d) terms, and serves direct expansion queries only.
+step per mediant and so O(sqrt(a)) along the integer spine, is the
+independent oracle and lives in the tests.  sqrt_cf builds a whole period,
+which can have about sqrt(d) terms, and serves direct expansion queries
+only.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "first_pair_between",
     "first_rational_between",
     "is_first_rational_between",
-    "stern_brocot_between",
 ]
 
 
@@ -83,32 +83,6 @@ def sqrt_cf(d: int) -> CFExpansion:
         a = (a0 + m) // den
         body.append(a)
     return CFExpansion(a0, tuple(body))
-
-
-def stern_brocot_between(x_radicand: int, y_radicand: int) -> Fraction:
-    """Mediant descent to the first fraction inside (sqrt(x), sqrt(y)).
-
-    Each branch decision compares the mediant p/q against an endpoint
-    exactly via p*p versus d*q*q.  The first mediant strictly inside the
-    interval is the unique minimal-denominator fraction, except along the
-    integer spine where it is the smallest integer in the interval.
-    """
-    dx, dy = x_radicand, y_radicand
-    if dx < 0 or dy < 0:
-        raise ValueError("radicands must be nonnegative")
-    if dx >= dy:
-        raise ValueError("empty interval: need x < y")
-    lo_n, lo_d, hi_n, hi_d = 0, 1, 1, 0
-    while True:
-        p, q = lo_n + hi_n, lo_d + hi_d
-        if p * p <= dx * q * q:
-            lo_n, lo_d = p, q
-        elif p * p >= dy * q * q:
-            hi_n, hi_d = p, q
-        else:
-            return Fraction(p, q)
-
-
 
 
 def _root(d: int) -> tuple[int, int, int, int]:
@@ -176,6 +150,15 @@ def first_rational_between(x_radicand: int, y_radicand: int) -> Fraction:
     numerator.  Either endpoint radicand may be a perfect square.
     """
     return Fraction(*first_pair_between(x_radicand, y_radicand))
+
+
+def stern_brocot_between(x_radicand: int, y_radicand: int) -> Fraction:
+    """first_rational_between under the name bench/spans.py traces.
+
+    It exists only for that lookup; the benchmark change that drops the
+    name from SPANNED deletes it.  The mediant descent is a test oracle.
+    """
+    return first_rational_between(x_radicand, y_radicand)
 
 
 def is_first_rational_between(x_radicand: int, y_radicand: int, t: int, s: int) -> bool:

@@ -33,11 +33,16 @@ _CURVE_COLORS = (
 )
 
 
+def write_csv(fh, header, rows) -> None:
+    """Write header and rows in the one CSV dialect of every output."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        write_csv(fh, header, rows)
 
 
 def _scatter_sigma(title, points, curves=None, width=760):

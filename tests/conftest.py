@@ -6,8 +6,9 @@ for minimal fractions, a t-by-t walk for witness counts, a square-twice
 integer test for s against k*(sqrt(a) + sqrt(a+1)), convergents
 folded from the partial quotients of an expansion, a per-(a, k) scan
 for the first witness-count decrement, a per-k scan of the zero
-windows that compares every window's ends, and a run-length Stern-Brocot
-descent for the first rational between two square roots.
+windows that compares every window's ends, plain and run-length
+Stern-Brocot descents for the first rational between two square roots,
+and the closed form of the least curve index.
 """
 
 from decimal import Decimal, localcontext
@@ -41,6 +42,31 @@ def brute_first_rational(x_rad, y_rad, s_limit=10000):
         if t * t < hi:
             return Fraction(t, s)
     raise AssertionError(f"no fraction below denominator {s_limit}")
+
+
+def stern_brocot_between(x_radicand, y_radicand):
+    """Mediant descent to the first fraction inside (sqrt(x), sqrt(y)).
+
+    Each branch decision compares the mediant p/q against an endpoint
+    exactly via p*p versus d*q*q.  The first mediant strictly inside the
+    interval is the unique minimal-denominator fraction, except along the
+    integer spine where it is the smallest integer in the interval.  One
+    step per mediant, so O(sqrt(x)) steps along that spine.
+    """
+    dx, dy = x_radicand, y_radicand
+    if dx < 0 or dy < 0:
+        raise ValueError("radicands must be nonnegative")
+    if dx >= dy:
+        raise ValueError("empty interval: need x < y")
+    lo_n, lo_d, hi_n, hi_d = 0, 1, 1, 0
+    while True:
+        p, q = lo_n + hi_n, lo_d + hi_d
+        if p * p <= dx * q * q:
+            lo_n, lo_d = p, q
+        elif p * p >= dy * q * q:
+            hi_n, hi_d = p, q
+        else:
+            return Fraction(p, q)
 
 
 def tau_brute(a, s):
@@ -176,3 +202,15 @@ def run_length_first_pair(x, y):
             c, d = c + j * a, d + j * b
         else:
             return p, q
+
+
+def min_k_closed_form(a, s):
+    """Least k with sigma_k(a) = s, for s = sigma(a), in two isqrt calls.
+
+    With n = isqrt(a), m = n + 1 and j = s - 1 it is
+    min(ceil(j*sqrt(a+1)) - j*n, j*m - floor(j*sqrt(a))); ceil(sqrt(X)) is
+    isqrt(X - 1) + 1 for X >= 1, and s >= 2 makes j >= 1.
+    """
+    n = isqrt(a)
+    j = s - 1
+    return min(isqrt(j * j * (a + 1) - 1) + 1 - j * n, j * (n + 1) - isqrt(j * j * a))

@@ -20,9 +20,9 @@ from sqdenom.analysis import (
     tau_profile,
     upward_closure_check,
 )
-from sqdenom.sigmacore import ConsistencyError, min_k, sigma, sigma_k, tau
+from sqdenom.sigmacore import ConsistencyError, min_k, sigma, sigma_k, sigma_upper, tau
 
-from conftest import first_decrement
+from conftest import cmp_int_vs_sum_sqrt, first_decrement
 
 
 def test_sweep_single_records():
@@ -206,3 +206,19 @@ def test_upward_closure_check():
         upward_closure_check(0, 5)
     with pytest.raises(ValueError):
         upward_closure_check(5, 0)
+
+
+def test_tau_decrements_stay_below_the_bound():
+    # tau(a, s+1) counts the integers in an open interval of length
+    # (s+1)*(sqrt(a+1) - sqrt(a)), so a drop from k at s needs
+    # s + 1 < k*(sqrt(a) + sqrt(a+1)); scan far past that bound
+    for a in range(1, 1001):
+        upper = sigma_upper(a)
+        counts = [tau(a, s) for s in range(1, 8 * upper + 2)]
+        for s in range(1, 8 * upper + 1):
+            k = counts[s - 1]
+            if counts[s] < k:
+                if k == 1:
+                    assert s <= upper - 2, (a, s)
+                if 2 <= a <= 300 and k <= 4:
+                    assert cmp_int_vs_sum_sqrt(s + 1, k, a) == -1, (a, s, k)

@@ -179,6 +179,17 @@ def test_analyze_closure(capsys):
     assert rep["verdict"] == "fail"
     code, out, _ = run(capsys, "analyze", "closure", "--a", "2", "--s-max", "100")
     assert json.loads(out)["verdict"] == "pass"
+    # every drop from 1 to 0 lies at s <= sigma_upper(a) - 2; a scan that
+    # stops below that proves nothing (tau(19, 5) = 1, tau(19, 6) = 0)
+    for a, s_max, verdict, violations in [
+        (19, 4, "indeterminate", []),
+        (19, 5, "fail", [5]),
+        (50, 13, "pass", []),
+        (50, 12, "indeterminate", []),
+    ]:
+        code, out, _ = run(capsys, "analyze", "closure", "--a", str(a), "--s-max", str(s_max))
+        rep = json.loads(out)
+        assert (code, rep["verdict"], rep["violations"]) == (0, verdict, violations), a
 
 
 def test_analyze_kset(capsys):

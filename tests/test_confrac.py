@@ -13,11 +13,15 @@ from sqdenom.confrac import (
     first_rational_between,
     is_first_rational_between,
     sqrt_cf,
-    stern_brocot_between,
 )
 from sqdenom.exactmath import is_perfect_square
 
-from conftest import brute_first_rational, convergent, run_length_first_pair
+from conftest import (
+    brute_first_rational,
+    convergent,
+    run_length_first_pair,
+    stern_brocot_between,
+)
 
 
 def test_sqrt_cf_small_radicands():

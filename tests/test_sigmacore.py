@@ -26,6 +26,7 @@ from sqdenom.sigmacore import (
 from conftest import (
     brute_first_rational,
     cmp_int_vs_sum_sqrt,
+    min_k_closed_form,
     run_length_first_pair,
     tau_brute,
     zero_windows_scan,
@@ -249,6 +250,11 @@ def test_min_k_is_minimal():
             assert sigma_k(a, smaller) != s
 
 
+def test_min_k_matches_closed_form():
+    for a in range(1, 20001):
+        assert min_k(a) == min_k_closed_form(a, sigma(a)), a
+
+
 def test_zero_windows_structure():
     with pytest.raises(ValueError):
         zero_windows(8, -1)
@@ -285,18 +291,19 @@ _FAMILIES = (
 )
 
 
-@settings(max_examples=300)
-@given(
-    st.one_of(
-        st.integers(min_value=0, max_value=10**300),
-        st.builds(
-            lambda n, family: family(n),
-            st.integers(min_value=1, max_value=10**150),
-            st.sampled_from(_FAMILIES),
-        ),
+# a up to 10^300, or from a family with n up to 10^150
+_any_scale = st.one_of(
+    st.integers(min_value=0, max_value=10**300),
+    st.builds(
+        lambda n, family: family(n),
+        st.integers(min_value=1, max_value=10**150),
+        st.sampled_from(_FAMILIES),
     ),
-    st.integers(min_value=1, max_value=10**150),
 )
+
+
+@settings(max_examples=300)
+@given(_any_scale, st.integers(min_value=1, max_value=10**150))
 def test_sigma_k_strictly_increases(a, k):
     # max(sigma_l, sigma_r) >= 1, so min_k's first match is the only one
     assert sigma_k(a, k + 1) > sigma_k(a, k)
@@ -317,6 +324,19 @@ def test_sigma_k_strictly_increases(a, k):
 def test_zero_windows_match_per_k_scan(a, k_max):
     # repr pins k, side, order and the stored Surd forms, not just values
     assert repr(zero_windows(a, k_max)) == repr(zero_windows_scan(a, k_max))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_scale)
+def test_closed_form_min_k_at_every_scale(a):
+    # sigma_k strictly increases in k, so these two checks make k the least
+    # index on the curve through sigma(a); min_k's walk is O(k)
+    s = run_length_first_pair(a, a + 1)[1]
+    k = min_k_closed_form(a, s)
+    assert sigma_k(a, k) == s, a
+    assert k == 1 or sigma_k(a, k - 1) < s, a
+    if k <= 10**4:
+        assert min_k(a, s) == k, a
 
 
 def test_zero_windows_step_down_from_k_max(monkeypatch):
