@@ -5,46 +5,64 @@ package computes, entirely in exact arithmetic, where the first square of a
 rational lands strictly between consecutive integers, how many witnesses
 each denominator admits, and the bounding-curve structure those counts
 follow.
+
+The public names resolve on first access (PEP 562), so importing the
+package, or one submodule such as `sqdenom.cli`, loads no other submodule;
+`from sqdenom import sigma` works as an eager import would.
 """
 
-from .analysis import (
-    SweepRecord,
-    TauProfile,
-    conjecture1_search,
-    k_set,
-    off_bound_points,
-    offbound_minima,
-    offbound_peaks,
-    on_bound_fraction,
-    sweep,
-    symmetry_report,
-    tau_profile,
-    upward_closure_check,
-)
-from .confrac import CFExpansion, first_rational_between, sqrt_cf
-from .exactmath import (
-    Surd,
-    floor_surd,
-    is_perfect_square,
-    isqrt,
-    surd_cmp,
-)
-from .figures import FIG5_K_VALUES, generate_figures, heatmap_data, heatmap_svg
-from .sigmacore import (
-    Decomposition,
-    ZeroWindow,
-    decompose,
-    min_k,
-    on_bound_criterion,
-    sigma,
-    sigma_k,
-    sigma_l,
-    sigma_lower,
-    sigma_r,
-    sigma_upper,
-    t_set,
-    tau,
-    zero_windows,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+_SOURCES = {
+    "analysis": (
+        "SweepRecord",
+        "TauProfile",
+        "conjecture1_search",
+        "k_set",
+        "off_bound_points",
+        "offbound_minima",
+        "offbound_peaks",
+        "on_bound_fraction",
+        "sweep",
+        "symmetry_report",
+        "tau_profile",
+        "upward_closure_check",
+    ),
+    "confrac": ("CFExpansion", "first_rational_between", "sqrt_cf"),
+    "exactmath": ("Surd", "floor_surd", "is_perfect_square", "isqrt", "surd_cmp"),
+    "figures": ("FIG5_K_VALUES", "generate_figures", "heatmap_data", "heatmap_svg"),
+    "sigmacore": (
+        "Decomposition",
+        "ZeroWindow",
+        "decompose",
+        "min_k",
+        "on_bound_criterion",
+        "sigma",
+        "sigma_k",
+        "sigma_l",
+        "sigma_lower",
+        "sigma_r",
+        "sigma_upper",
+        "t_set",
+        "tau",
+        "zero_windows",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -4,29 +4,22 @@ Exit codes: 0 success, 2 bad usage or invalid parameter values, 3 I/O
 failure, 4 an internal consistency check failed (a library defect,
 reported in one stderr line).  All file output is byte-deterministic:
 rerunning a command with the same arguments reproduces identical bytes.
+
+Each command imports the library code it runs, so a process pays only for
+the command it makes: `sigma` never loads the analysis, figure or SVG
+layers, and `import sqdenom.cli` loads nothing beyond the parser.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import sys
-from fractions import Fraction
 
-from .analysis import (
-    SweepRecord,
-    conjecture1_search,
-    k_set,
-    offbound_minima,
-    offbound_peaks,
-    symmetry_report,
-    sweep,
-    upward_closure_check,
-)
-from .confrac import sqrt_cf
-from .figures import generate_figures, heatmap_data, heatmap_svg, write_csv
-from .sigmacore import ConsistencyError, certified_first_pair, sigma_upper, t_set, tau
+# The most witnesses `tset` prints.  tau(a, s) counts them in O(1) but has
+# no bound of its own (tau(0, s) = s - 1), so the command checks the count
+# before it builds the list.
+TSET_MAX_WITNESSES = 10**6
 
 
 def _output(path: str | None):
@@ -40,41 +33,57 @@ def _output(path: str | None):
     return open(path, "w", newline="")
 
 
-def _frac_fields(f: Fraction) -> dict:
-    return {"exact": f"{f.numerator}/{f.denominator}", "approx": f"{float(f):.6f}"}
-
-
 def cmd_sigma(args) -> int:
+    from .sigmacore import certified_first_pair
+
     print(certified_first_pair(args.a)[1])
     return 0
 
 
 def cmd_tau(args) -> int:
+    from .sigmacore import tau
+
     print(tau(args.a, args.s))
     return 0
 
 
 def cmd_tset(args) -> int:
+    from .sigmacore import t_set, tau
+
+    count = tau(args.a, args.s)
+    if count > TSET_MAX_WITNESSES:
+        raise ValueError(
+            f"tset would print {count} witnesses, over the cap of {TSET_MAX_WITNESSES}"
+        )
     ts = t_set(args.a, args.s)
     print("{" + ", ".join(str(t) for t in ts) + "}")
     return 0
 
 
 def cmd_first_square(args) -> int:
+    from .sigmacore import certified_first_pair
+
     t, s = certified_first_pair(args.a)
     print(f"{t * t}/{s * s} (t={t}, s={s})")
     return 0
 
 
 def cmd_cf(args) -> int:
+    from .confrac import sqrt_cf
+
     print(sqrt_cf(args.d))
     return 0
 
 
 def cmd_sweep(args) -> int:
+    from .analysis import SweepRecord, sweep
+    from .figures import write_csv
+
     records = sweep(args.a_from, args.a_to)
     with _output(args.out) as fh:
         if args.format == "json":
+            import json
+
             payload = [r._asdict() for r in records]
             fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         else:
@@ -84,6 +93,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
+    from .figures import heatmap_data, heatmap_svg, write_csv
+
     header, rows = heatmap_data(args.mode, args.a_min, args.a_max, args.s_min, args.s_max)
     svg = heatmap_svg(args.mode, rows) if args.format == "svg" else None
     with _output(args.out) as fh:
@@ -95,6 +106,8 @@ def cmd_heatmap(args) -> int:
 
 
 def cmd_figures(args) -> int:
+    from .figures import generate_figures
+
     paths = generate_figures(args.out_dir)
     for p in paths:
         print(p)
@@ -102,6 +115,10 @@ def cmd_figures(args) -> int:
 
 
 def _report_symmetry(args) -> dict:
+    from fractions import Fraction
+
+    from .analysis import symmetry_report
+
     rep = symmetry_report(
         n_min=args.n_min, n_max=args.n_max,
         d_max=args.d_max, full_range=args.full_range,
@@ -115,7 +132,7 @@ def _report_symmetry(args) -> dict:
             "d_max": args.d_max,
             "full_range": args.full_range,
         },
-        "aggregate": _frac_fields(agg),
+        "aggregate": {"exact": f"{agg.numerator}/{agg.denominator}", "approx": f"{float(agg):.6f}"},
         "matches": rep["matches"],
         "comparisons": rep["comparisons"],
         "per_n": rep["per_n"],
@@ -124,6 +141,8 @@ def _report_symmetry(args) -> dict:
 
 
 def _report_kset(args) -> dict:
+    from .analysis import k_set
+
     ks = sorted(k_set(args.n))
     findings = [
         # sigma_k strictly increases in k, so each a has exactly one matching
@@ -144,6 +163,8 @@ def _report_kset(args) -> dict:
 
 
 def _report_offbound(args) -> dict:
+    from .analysis import offbound_minima, offbound_peaks
+
     peaks = []
     for n, a_peak, s_peak in offbound_peaks(args.n_from, args.n_to):
         peaks.append(
@@ -177,6 +198,8 @@ def _report_offbound(args) -> dict:
 
 
 def _report_conjecture1(args) -> dict:
+    from .analysis import conjecture1_search
+
     findings = []
     indeterminate = 0
     for a, witnesses in conjecture1_search(args.a_max, args.k_max, args.s_max).items():
@@ -195,6 +218,9 @@ def _report_conjecture1(args) -> dict:
 
 
 def _report_closure(args) -> dict:
+    from .analysis import upward_closure_check
+    from .sigmacore import sigma_upper
+
     violations = upward_closure_check(args.a, args.s_max)
     # tau(a, s+1) counts the integers in an open interval of length
     # (s+1)*(sqrt(a+1) - sqrt(a)), so a drop from 1 to 0 at s needs
@@ -213,6 +239,8 @@ def _report_closure(args) -> dict:
 
 
 def cmd_analyze(args) -> int:
+    import json
+
     report = {"report": args.subreport, **args.build(args)}
     with _output(args.out) as fh:
         fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -313,6 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    from .sigmacore import ConsistencyError
+
     try:
         return args.func(args)
     except ValueError as exc:

@@ -1,5 +1,6 @@
 """Command-line surface: output formats, exit codes, determinism."""
 
+import ast
 import csv
 import hashlib
 import json
@@ -50,6 +51,16 @@ def test_consistency_failures_exit_four(capsys, monkeypatch):
     code, out, err = run(capsys, "analyze", "kset", "--n", "2")
     assert (code, out) == (4, "")
     assert err.startswith("internal error: no curve index") and err.count("\n") == 1
+
+
+def test_tset_refuses_more_witnesses_than_the_cap(capsys):
+    cap = cli.TSET_MAX_WITNESSES
+    assert cap == 10**6  # the documented cap
+    # tau(0, s) = s - 1 witnesses, counted before any list is built
+    for s in (10**12, cap + 2):
+        code, out, err = run(capsys, "tset", "0", str(s))
+        assert (code, out) == (2, "")
+        assert err == f"error: tset would print {s - 1} witnesses, over the cap of {cap}\n"
 
 
 def test_point_queries(capsys):
@@ -231,18 +242,32 @@ def test_analyze_symmetry_rejects_full_range_with_d_max(capsys, tmp_path):
     assert not target.exists()
 
 
-def test_cli_import_loads_no_multiprocessing():
+def _modules_after(*statements):
+    """Sorted sys.modules of a fresh interpreter after running statements."""
     src = os.path.dirname(os.path.dirname(sqdenom.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = (
-        "import sys, sqdenom.cli; "
-        "print([m for m in ('multiprocessing', 'dataclasses', 'inspect') if m in sys.modules])"
-    )
+    probe = "; ".join(["import sys", *statements, "print(sorted(sys.modules))"])
     out = subprocess.run(
         [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, check=True, timeout=60,
     ).stdout
-    assert out == "[]\n"
+    return ast.literal_eval(out.splitlines()[-1])
+
+
+def test_cli_import_loads_only_the_parser():
+    loaded = _modules_after("import sqdenom.cli")
+    assert [m for m in loaded if m.startswith("sqdenom")] == ["sqdenom", "sqdenom.cli"]
+    heavy = ("json", "fractions", "csv", "multiprocessing", "dataclasses", "inspect")
+    assert [m for m in heavy if m in loaded] == []
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (["sigma", "991"], ["sqdenom.analysis", "sqdenom.figures", "sqdenom.svg", "json", "csv"]),
+    (["analyze", "kset", "--n", "2"], ["sqdenom.figures", "sqdenom.svg", "csv"]),
+])
+def test_commands_load_only_what_they_use(argv, unused):
+    loaded = _modules_after("from sqdenom.cli import main", f"main({argv!r})")
+    assert [m for m in unused if m in loaded] == []
 
 
 def test_analyze_conjecture1(capsys):

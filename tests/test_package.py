@@ -1,0 +1,47 @@
+"""The package's public names: resolved on first access, same objects as before."""
+
+import importlib
+
+import pytest
+
+import sqdenom
+
+DEFINED_IN = {
+    "analysis": [
+        "SweepRecord", "TauProfile", "conjecture1_search", "k_set", "off_bound_points",
+        "offbound_minima", "offbound_peaks", "on_bound_fraction", "sweep",
+        "symmetry_report", "tau_profile", "upward_closure_check",
+    ],
+    "confrac": ["CFExpansion", "first_rational_between", "sqrt_cf"],
+    "exactmath": ["Surd", "floor_surd", "is_perfect_square", "isqrt", "surd_cmp"],
+    "figures": ["FIG5_K_VALUES", "generate_figures", "heatmap_data", "heatmap_svg"],
+    "sigmacore": [
+        "Decomposition", "ZeroWindow", "decompose", "min_k", "on_bound_criterion",
+        "sigma", "sigma_k", "sigma_l", "sigma_lower", "sigma_r", "sigma_upper",
+        "t_set", "tau", "zero_windows",
+    ],
+}
+NAMES = sorted(name for names in DEFINED_IN.values() for name in names)
+
+
+def test_all_lists_the_public_names():
+    assert len(NAMES) == 38
+    assert sorted(sqdenom.__all__) == NAMES
+
+
+@pytest.mark.parametrize("module", sorted(DEFINED_IN))
+def test_names_are_the_defining_modules_objects(module):
+    defining = importlib.import_module(f"sqdenom.{module}")
+    for name in DEFINED_IN[module]:
+        assert getattr(sqdenom, name) is getattr(defining, name), name
+
+
+def test_star_import_dir_and_submodules():
+    namespace = {}
+    exec("from sqdenom import *", namespace)
+    assert all(namespace[name] is getattr(sqdenom, name) for name in NAMES)
+    assert set(NAMES) | {"__version__"} <= set(dir(sqdenom))
+    assert not hasattr(sqdenom, "no_such_name")
+    from sqdenom import analysis
+
+    assert analysis is importlib.import_module("sqdenom.analysis")
