@@ -87,12 +87,28 @@ def _record(a: int) -> SweepRecord:
 def sweep(a_from: int, a_to: int) -> list[SweepRecord]:
     """Records for a_from..a_to inclusive, in order, one after another.
 
-    A row is tens of microseconds of exact integer work, less than sending
-    it to a worker process and back would cost, so no pool is used.
+    A row is about ten microseconds of exact integer work at small a, less
+    than sending it to a worker process and back would cost, so no pool is
+    used.
     """
     if a_from < 1 or a_to < a_from:
         raise ValueError("need 1 <= a_from <= a_to")
     return [_record(a) for a in range(a_from, a_to + 1)]
+
+
+def write_csv(fh, header, rows) -> None:
+    """Write header and rows in the one CSV dialect of every output.
+
+    Every field of every row is an int, and a bool is written as 1/0; each
+    row is a tuple as long as the header.  No such field needs quoting, so
+    a header line and one "%d,...,%d" line per row are the bytes that
+    csv.writer(fh, lineterminator="\\n") writes for the same rows.
+    """
+    line = ",".join(["%d"] * len(header)) + "\n"
+    write = fh.write
+    write(",".join(header) + "\n")
+    for row in rows:
+        write(line % row)
 
 
 def on_bound_fraction(a_from: int, a_to: int) -> Fraction:

@@ -76,8 +76,7 @@ def cmd_cf(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .analysis import SweepRecord, sweep
-    from .figures import write_csv
+    from .analysis import SweepRecord, sweep, write_csv
 
     records = sweep(args.a_from, args.a_to)
     with _output(args.out) as fh:
@@ -87,13 +86,13 @@ def cmd_sweep(args) -> int:
             payload = [r._asdict() for r in records]
             fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         else:
-            # every field is an int; int() writes on_bound as 1/0
-            write_csv(fh, SweepRecord._fields, (map(int, r) for r in records))
+            write_csv(fh, SweepRecord._fields, records)
     return 0
 
 
 def cmd_heatmap(args) -> int:
-    from .figures import heatmap_data, heatmap_svg, write_csv
+    from .analysis import write_csv
+    from .figures import heatmap_data, heatmap_svg
 
     header, rows = heatmap_data(args.mode, args.a_min, args.a_max, args.s_min, args.s_max)
     svg = heatmap_svg(args.mode, rows) if args.format == "svg" else None

@@ -13,11 +13,10 @@ the SVG coordinates.  Output is byte-deterministic.
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 
 from . import svg
-from .analysis import off_bound_points, sweep
+from .analysis import off_bound_points, sweep, write_csv
 from .sigmacore import sigma, sigma_k, tau
 
 __all__ = ["FIG5_K_VALUES", "generate_figures", "heatmap_data", "heatmap_svg"]
@@ -31,13 +30,6 @@ _CURVE_COLORS = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
     "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
 )
-
-
-def write_csv(fh, header, rows) -> None:
-    """Write header and rows in the one CSV dialect of every output."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:

@@ -52,8 +52,9 @@ class ConsistencyError(RuntimeError):
 
 
 class Decomposition(NamedTuple):
-    """a = n^2 + b = m^2 - c.  A tuple, not a frozen dataclass: sigma_k
-    builds one per call, and a tuple costs under half as much to make."""
+    """a = n^2 + b = m^2 - c.  A tuple, not a frozen dataclass, as a tuple
+    costs under half as much to make.  sigma_k, called once per step of
+    min_k, builds none: it works out n, b + 1 and c inline."""
 
     a: int
     n: int
@@ -127,10 +128,15 @@ def sigma_k(a: int, k: int) -> int:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    dc = decompose(a)
-    left = (k * dc.n + isqrt(k * k * (a + 1))) // (dc.b + 1)
-    right = (k * dc.m + isqrt(k * k * a)) // dc.c
-    return max(left, right) + 1
+    if a < 0:
+        raise ValueError("a must be >= 0")
+    # decompose's frame, worked out inline: b + 1 = a - n^2 + 1, c = m^2 - a
+    n = isqrt(a)
+    m = n + 1
+    kk = k * k
+    left = (k * n + isqrt(kk * (a + 1))) // (a - n * n + 1)
+    right = (k * m + isqrt(kk * a)) // (m * m - a)
+    return (left if left > right else right) + 1
 
 
 def sigma_lower(a: int) -> int:

@@ -1,9 +1,13 @@
 """Sweeps and empirical structure reports over square intervals."""
 
+import csv
+import io
 from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sqdenom import analysis, sigmacore
 from sqdenom.analysis import (
@@ -19,6 +23,7 @@ from sqdenom.analysis import (
     symmetry_report,
     tau_profile,
     upward_closure_check,
+    write_csv,
 )
 from sqdenom.sigmacore import ConsistencyError, min_k, sigma, sigma_k, sigma_upper, tau
 
@@ -29,6 +34,29 @@ def test_sweep_single_records():
     assert sweep(1, 1) == [SweepRecord(1, 3, 3, 3, True, 1, 4)]
     assert sweep(8, 8) == [SweepRecord(8, 6, 6, 6, True, 1, 17)]
     assert sweep(19, 19) == [SweepRecord(19, 5, 3, 9, False, 2, 22)]
+
+
+_csv_field = st.one_of(
+    st.integers(),
+    st.integers(min_value=-(10**300) - 10**6, max_value=-(10**300) + 10**6),
+    st.integers(min_value=10**300 - 10**6, max_value=10**300 + 10**6),
+)
+
+
+@given(st.data())
+def test_write_csv_matches_the_csv_module(data):
+    # csv.writer, given the same rows with int mapped over them, is the oracle
+    width = data.draw(st.integers(min_value=1, max_value=7))
+    rows = data.draw(st.lists(st.tuples(*[_csv_field] * width), max_size=20))
+    bool_row = data.draw(st.tuples(st.booleans(), *[st.booleans() | _csv_field] * (width - 1)))
+    rows.insert(data.draw(st.integers(min_value=0, max_value=len(rows))), bool_row)
+    header = [f"c{i}" for i in range(width)]
+    got, want = io.StringIO(newline=""), io.StringIO(newline="")
+    write_csv(got, header, rows)
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(map(int, row) for row in rows)
+    assert got.getvalue() == want.getvalue()
 
 
 def test_sweep_validation():

@@ -264,6 +264,7 @@ def test_cli_import_loads_only_the_parser():
 @pytest.mark.parametrize("argv, unused", [
     (["sigma", "991"], ["sqdenom.analysis", "sqdenom.figures", "sqdenom.svg", "json", "csv"]),
     (["analyze", "kset", "--n", "2"], ["sqdenom.figures", "sqdenom.svg", "csv"]),
+    (["sweep", "--from", "1", "--to", "3"], ["sqdenom.figures", "sqdenom.svg", "csv", "json"]),
 ])
 def test_commands_load_only_what_they_use(argv, unused):
     loaded = _modules_after("from sqdenom.cli import main", f"main({argv!r})")

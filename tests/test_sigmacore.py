@@ -1,7 +1,7 @@
 """Square-locating core: counts, witnesses, bounds and zero windows."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqdenom import sigmacore
@@ -179,17 +179,33 @@ def test_sigma_k_examples():
     assert sigma_k(0, 1) == 2
     with pytest.raises(ValueError):
         sigma_k(8, 0)
+    with pytest.raises(ValueError):
+        sigma_k(-1, 1)
+
+
+def _sigma_k_by_surds(a, k):
+    """floor(max(k*sigma_l, k*sigma_r)) + 1, from the Surd thresholds."""
+    left, right = sigma_l(a), sigma_r(a)
+    kl = Surd(k * left.p, k * left.q, left.d, left.r)
+    kr = Surd(k * right.p, k * right.q, right.d, right.r)
+    return floor_surd(kl if surd_cmp(kl, kr) >= 0 else kr) + 1
 
 
 def test_sigma_k_floor_matches_surd_floor():
     # the pure-integer formula equals floor(max(k*sigma_l, k*sigma_r)) + 1
     for a in range(0, 200):
-        left, right = sigma_l(a), sigma_r(a)
         for k in range(1, 6):
-            kl = Surd(k * left.p, k * left.q, left.d, left.r)
-            kr = Surd(k * right.p, k * right.q, right.d, right.r)
-            top = kl if surd_cmp(kl, kr) >= 0 else kr
-            assert sigma_k(a, k) == floor_surd(top) + 1, (a, k)
+            assert sigma_k(a, k) == _sigma_k_by_surds(a, k), (a, k)
+
+
+def test_min_k_builds_no_decomposition(monkeypatch):
+    # sigma_k works out its frame inline; a sweep row calls it once per step
+    def refuse(a):
+        raise AssertionError("decompose called")
+
+    monkeypatch.setattr(sigmacore, "decompose", refuse)
+    assert sigma_k(991, 13) == 27
+    assert min_k(991) == 13
 
 
 def test_sigma_k_exceeds_index():
@@ -307,6 +323,17 @@ _any_scale = st.one_of(
 def test_sigma_k_strictly_increases(a, k):
     # max(sigma_l, sigma_r) >= 1, so min_k's first match is the only one
     assert sigma_k(a, k + 1) > sigma_k(a, k)
+
+
+@settings(max_examples=300)
+@given(_any_scale, st.integers(min_value=1, max_value=10**150))
+@example(0, 1)
+@example(0, 10**150)
+@example(10**200, 10**150)  # a = n^2: b + 1 = 1
+@example(10**200 - 1, 10**150)  # a = m^2 - 1: c = 1
+@example(10**200 - 1, 1)
+def test_sigma_k_floor_matches_surd_floor_at_every_scale(a, k):
+    assert sigma_k(a, k) == _sigma_k_by_surds(a, k)
 
 
 @settings(max_examples=300)
