@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .exactmath import _sign_linear, isqrt
+from .exactmath import isqrt
 
 __all__ = [
     "CFExpansion",
@@ -97,26 +97,6 @@ def _root(d: int) -> tuple[int, int, int, int]:
     return (0, 1, d, u)
 
 
-def _reciprocal(e: tuple[int, int, int, int], fl: int):
-    """1/(e - fl) for an endpoint e >= fl.
-
-    A rational end p/r steps to r/(p - fl*r), as in Euclid's algorithm; at
-    e == fl that is r/0 with r > 0, which the sign test in
-    first_pair_between ranks above every integer, so it stands for
-    +infinity and is never floored (it only ever becomes the upper end).  An
-    irrational end (p + sqrt(d))/r with P = p - fl*r steps to
-    (-P + sqrt(d))/R with R = (d - P^2)/r: the division is exact because r
-    divides d - p^2, and R > 0 because -sqrt(d) < P < sqrt(d) (the end
-    exceeds fl, and p < sqrt(d) holds from the start on).  Both invariants
-    carry over to (-P, R), so |p| < sqrt(d) and r < 2*sqrt(d) throughout.
-    """
-    p, r, d, u = e
-    p -= fl * r
-    if d == 0:
-        return (r, p, 0, 0)
-    return (-p, (d - p * p) // r, d, u)
-
-
 def first_pair_between(x_radicand: int, y_radicand: int) -> tuple[int, int]:
     """(t, s) with t/s the smallest-denominator rational in (sqrt(x), sqrt(y)).
 
@@ -129,18 +109,45 @@ def first_pair_between(x_radicand: int, y_radicand: int) -> tuple[int, int]:
         raise ValueError("radicands must be nonnegative")
     if dx >= dy:
         raise ValueError("empty interval: need x < y")
-    lo, hi = _root(dx), _root(dy)
+    # each end is (p + sqrt(d))/r, held as four ints p, r, d, u = isqrt(d)
+    lp, lr, ld, lu = _root(dx)
+    hp, hr, hd, hu = _root(dy)
     # convergent recurrence seeds: t_{-2}/s_{-2} = 0/1, t_{-1}/s_{-1} = 1/0
     t0, s0, t1, s1 = 0, 1, 1, 0
     while True:
-        p, r, _d, u = lo
-        fl = (p + u) // r  # as in floor_surd: no integer in (p + u, p + sqrt(d)]
-        m = fl + 1
-        if _sign_linear(hi[0] - m * hi[1], 1, hi[2]) > 0:
+        fl = (lp + lu) // lr  # as in floor_surd: no integer in (p + u, p + sqrt(d)]
+        # hi - fl = (ph + sqrt(hd))/hr, and fl + 1 lies below hi iff
+        # k + sqrt(hd) > 0 with k = ph - hr: the exact sign test of
+        # exactmath._sign_linear(k, 1, hd), written out
+        ph = hp - fl * hr
+        k = ph - hr
+        if (k > 0) if hd == 0 else (k >= 0 or hd > k * k):
+            m = fl + 1
             return m * t1 + t0, m * s1 + s0
         t0, t1 = t1, fl * t1 + t0
         s0, s1 = s1, fl * s1 + s0
-        lo, hi = _reciprocal(hi, fl), _reciprocal(lo, fl)
+        # Both ends step to 1/(end - fl) and swap, so the new lower end
+        # comes from hi.  A rational end p/r steps to r/(p - fl*r), as in
+        # Euclid's algorithm; at end == fl that is r/0 with r > 0, which
+        # the sign test above passes (k = r > 0), so it stands for
+        # +infinity and is never floored: it only ever becomes the upper
+        # end.  An irrational end (p + sqrt(d))/r with P = p - fl*r steps
+        # to (-P + sqrt(d))/R with R = (d - P^2)/r.  The division is exact
+        # because r divides d - p^2, and R > 0 because
+        # -sqrt(d) < P < sqrt(d): the end exceeds fl, and p < sqrt(d)
+        # holds from the start on.  Both invariants carry over to (-P, R),
+        # so |p| < sqrt(d) and r < 2*sqrt(d) throughout.
+        pl = lp - fl * lr
+        if ld:
+            pl, rl = -pl, (ld - pl * pl) // lr
+        else:
+            pl, rl = lr, pl
+        if hd:
+            lp, lr = -ph, (hd - ph * ph) // hr
+        else:
+            lp, lr = hr, ph
+        hp, hr = pl, rl
+        ld, lu, hd, hu = hd, hu, ld, lu
 
 
 def first_rational_between(x_radicand: int, y_radicand: int) -> Fraction:

@@ -53,8 +53,8 @@ class ConsistencyError(RuntimeError):
 
 class Decomposition(NamedTuple):
     """a = n^2 + b = m^2 - c.  A tuple, not a frozen dataclass, as a tuple
-    costs under half as much to make.  sigma_k, called once per step of
-    min_k, builds none: it works out n, b + 1 and c inline."""
+    costs under half as much to make.  sigma_k and min_k build none: each
+    works out n, b + 1 and c inline, min_k once per walk."""
 
     a: int
     n: int
@@ -203,12 +203,25 @@ def min_k(a: int, s: int | None = None) -> int:
     """The one k >= 1 with sigma_k(a) = sigma(a); pass s = sigma(a) if known.
 
     sigma_k strictly increases in k (see sigma_k), so the first match is the
-    only one, and sigma_k >= k+1 bounds the walk by sigma(a).
+    only one, and sigma_k >= k+1 bounds the walk by sigma(a).  The walk
+    works out sigma_k's frame once (n, m, a + 1, b + 1, c) and then takes
+    sigma_k's two floors per step, two isqrt calls on integer locals.
     """
     if s is None:
         s = sigma(a)
+    elif a < 0:
+        raise ValueError("a must be >= 0")
+    n = isqrt(a)
+    m = n + 1
+    a1 = a + 1
+    b1 = a1 - n * n
+    c = m * m - a
+    j = s - 1  # sigma_k(a) = s iff the larger floor is s - 1
     for k in range(1, s + 1):
-        if sigma_k(a, k) == s:
+        kk = k * k
+        left = (k * n + isqrt(kk * a1)) // b1
+        right = (k * m + isqrt(kk * a)) // c
+        if (left if left > right else right) == j:
             return k
     raise ConsistencyError(f"no curve index k <= {s} matches sigma({a})")
 

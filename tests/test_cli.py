@@ -42,12 +42,17 @@ def test_consistency_failures_exit_four(capsys, monkeypatch):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (4, ""), argv
             assert err.startswith("internal error:") and err.count("\n") == 1
-    # a curve family that never reaches sigma leaves min_k without an index
-    monkeypatch.setattr(sigmacore, "sigma_k", lambda a, k: 0)
-    code, out, err = run(capsys, "sweep", "--from", "1", "--to", "3", "--jobs", "1")
+    # a sigma on no curve leaves min_k without an index: at a = 2,
+    # sigma_1 = 2 <= 3 <= 4 = upper passes the bounds check, but the curves
+    # give 2, 4, 6 at k = 1, 2, 3
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "certified_first_pair", lambda a: (5, 3))
+        code, out, err = run(capsys, "sweep", "--from", "2", "--to", "2")
     assert (code, out) == (4, "")
     assert err.startswith("internal error: no curve index") and err.count("\n") == 1
-    # k_set takes each index from min_k and keeps the same guarantee
+    # k_set takes each index from min_k and keeps the same guarantee; no
+    # curve reaches a sigma of 1, as sigma_k(a) >= k + 1
+    monkeypatch.setattr(sigmacore, "sigma", lambda a: 1)
     code, out, err = run(capsys, "analyze", "kset", "--n", "2")
     assert (code, out) == (4, "")
     assert err.startswith("internal error: no curve index") and err.count("\n") == 1

@@ -199,7 +199,7 @@ def test_sigma_k_floor_matches_surd_floor():
 
 
 def test_min_k_builds_no_decomposition(monkeypatch):
-    # sigma_k works out its frame inline; a sweep row calls it once per step
+    # sigma_k and min_k each work out the frame inline
     def refuse(a):
         raise AssertionError("decompose called")
 
@@ -355,6 +355,9 @@ def test_zero_windows_match_per_k_scan(a, k_max):
 
 @settings(max_examples=300, deadline=None)
 @given(_any_scale)
+@example(0)  # min_k's frame: n = 0, b + 1 = c = 1
+@example(10**200)  # a = n^2: b + 1 = 1
+@example(10**200 - 1)  # a = m^2 - 1: c = 1
 def test_closed_form_min_k_at_every_scale(a):
     # sigma_k strictly increases in k, so these two checks make k the least
     # index on the curve through sigma(a); min_k's walk is O(k)
