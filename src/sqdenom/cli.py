@@ -14,12 +14,21 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import marshal
+import os
 import sys
 
 # The most witnesses `tset` prints.  tau(a, s) counts them in O(1) but has
 # no bound of its own (tau(0, s) = s - 1), so the command checks the count
 # before it builds the list.
 TSET_MAX_WITNESSES = 10**6
+
+# The fewest rows `sweep` hands to one forked child.  A child costs its
+# fork, the copy-on-write pages it touches and the marshal round trip of
+# its rows; on a 2-vCPU x86-64 VM a two-block split of a whole `sqdenom
+# sweep` run broke even at about 3000 rows and won 21 of 21 pairs at 8192,
+# the shortest range this split allows.
+SWEEP_MIN_BLOCK_ROWS = 4096
 
 
 def _output(path: str | None):
@@ -75,10 +84,119 @@ def cmd_cf(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    from .analysis import SweepRecord, sweep, write_csv
+def plan_blocks(a_from: int, a_to: int, cpus: int, min_rows: int) -> list[tuple[int, int]]:
+    """Contiguous (lo, hi) blocks that cover a_from..a_to in order.
 
-    records = sweep(args.a_from, args.a_to)
+    There are at most `cpus` blocks and each has at least min_rows rows, so
+    the fan-out is bounded whatever the range; a range too short to split,
+    or an empty one, is one block.  Block sizes differ by at most one row,
+    and the first block, which the parent computes, is never the larger.
+    """
+    rows = a_to - a_from + 1
+    count = max(1, min(cpus, rows // min_rows))
+    size, extra = divmod(rows, count)
+    blocks = []
+    lo = a_from
+    for i in range(count):
+        hi = lo + size + (i >= count - extra) - 1
+        blocks.append((lo, hi))
+        lo = hi + 1
+    return blocks
+
+
+def _allowed_cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork or ask."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _sweep_child(lo: int, hi: int, fd: int, parent_fds: list[int]):
+    """Body of a forked child: send the rows of lo..hi, or the error that
+    stopped them, down fd as one marshal payload, then exit at once, so no
+    handler or buffer the parent set up runs or flushes twice.
+
+    The child first closes the read ends it inherited (parent_fds), so
+    that a closed pipe breaks the write of a child blocked on it.
+    """
+    from .analysis import sweep
+
+    code = 1
+    try:
+        for parent_fd in parent_fds:
+            os.close(parent_fd)
+        try:
+            payload = (None, tuple(zip(*sweep(lo, hi))))
+        except Exception as exc:
+            payload = (type(exc).__name__, str(exc))
+        with open(fd, "wb") as fh:
+            fh.write(marshal.dumps(payload))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _sweep_records(a_from: int, a_to: int) -> list:
+    """analysis.sweep(a_from, a_to), with the range split over the allowed CPUs.
+
+    The parent computes the first block of plan_blocks and one forked child
+    each later block.  The parent then reads the children's rows in block
+    order, so the lowest failing a raises first, as in one process.  A block
+    that cannot be forked is computed by the parent in its turn.  Every
+    exit closes the pipes and reaps every child; on an error the children
+    still running are killed first.
+    """
+    from .analysis import SweepRecord, sweep
+    from .sigmacore import ConsistencyError
+
+    blocks = plan_blocks(a_from, a_to, _allowed_cpus(), SWEEP_MIN_BLOCK_ROWS)
+    children = []  # (pid, read fd), one per forked block, in block order
+    try:
+        for lo, hi in blocks[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:
+                _sweep_child(lo, hi, w, [r] + [fd for _, fd in children])
+            children.append((pid, r))
+            os.close(w)
+        records = sweep(*blocks[0])
+        for i, (lo, hi) in enumerate(blocks[1:]):
+            if i >= len(children):
+                records += sweep(lo, hi)
+                continue
+            with open(children[i][1], "rb", closefd=False) as fh:
+                try:
+                    error, body = marshal.loads(fh.read())
+                except (EOFError, ValueError):
+                    raise OSError(f"sweep child for a={lo}..{hi} ended without its rows") from None
+            if error == "ConsistencyError":
+                raise ConsistencyError(body)
+            if error is not None:
+                raise RuntimeError(f"sweep child for a={lo}..{hi}: {error}: {body}")
+            records += map(SweepRecord._make, zip(*body))
+    except BaseException:
+        import signal
+
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for _, fd in children:
+            os.close(fd)
+        for pid, _ in children:
+            os.waitpid(pid, 0)
+    return records
+
+
+def cmd_sweep(args) -> int:
+    from .analysis import SweepRecord, write_csv
+
+    records = _sweep_records(args.a_from, args.a_to)
     with _output(args.out) as fh:
         if args.format == "json":
             import json
@@ -280,8 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="a_to", type=int, required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", default=None)
-    # Inert: sweeps run in one process.  Kept so command lines that still
-    # pass it keep working.
+    # Inert: a sweep splits itself over the CPUs it may use (plan_blocks).
+    # Kept so command lines that still pass it keep working.
     p.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_sweep)
 

@@ -211,13 +211,19 @@ def min_k(a: int, s: int | None = None) -> int:
         s = sigma(a)
     elif a < 0:
         raise ValueError("a must be >= 0")
+    return _min_k_walk(a, s, 1)
+
+
+def _min_k_walk(a: int, s: int, k0: int) -> int:
+    """min_k(a, s) for a >= 0, walking k from k0 on; the caller knows that
+    no k < k0 matches (analysis._record starts an off-bound row at 2)."""
     n = isqrt(a)
     m = n + 1
     a1 = a + 1
     b1 = a1 - n * n
     c = m * m - a
     j = s - 1  # sigma_k(a) = s iff the larger floor is s - 1
-    for k in range(1, s + 1):
+    for k in range(k0, s + 1):
         kk = k * k
         left = (k * n + isqrt(kk * a1)) // b1
         right = (k * m + isqrt(kk * a)) // c

@@ -7,8 +7,11 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import sqdenom
 from sqdenom import analysis, cli, sigmacore
@@ -269,7 +272,8 @@ def test_cli_import_loads_only_the_parser():
 @pytest.mark.parametrize("argv, unused", [
     (["sigma", "991"], ["sqdenom.analysis", "sqdenom.figures", "sqdenom.svg", "json", "csv"]),
     (["analyze", "kset", "--n", "2"], ["sqdenom.figures", "sqdenom.svg", "csv"]),
-    (["sweep", "--from", "1", "--to", "3"], ["sqdenom.figures", "sqdenom.svg", "csv", "json"]),
+    (["sweep", "--from", "1", "--to", "3"],
+     ["sqdenom.figures", "sqdenom.svg", "csv", "json", "multiprocessing", "concurrent.futures"]),
 ])
 def test_commands_load_only_what_they_use(argv, unused):
     loaded = _modules_after("from sqdenom.cli import main", f"main({argv!r})")
@@ -341,3 +345,165 @@ def test_output_bytes_are_pinned(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, ""), argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+# --- the forked sweep -------------------------------------------------------
+
+JSON_300 = ("sweep", "--from", "1", "--to", "300", "--format", "json")
+
+
+def _split_three_ways(monkeypatch):
+    """Make 1..300 split into three blocks of 100 rows on any machine, and
+    count the children forked."""
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(cli, "SWEEP_MIN_BLOCK_ROWS", 64)
+    monkeypatch.setattr(cli, "_allowed_cpus", lambda: 3)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def _fault_at(monkeypatch, *bad):
+    """A kernel that answers (850, 28) at each a in bad, which the sweep's
+    certificate rejects."""
+    kernel = sigmacore.first_pair_between
+    monkeypatch.setattr(
+        sigmacore, "first_pair_between", lambda x, y: (850, 28) if x in bad else kernel(x, y))
+
+
+def test_split_sweep_writes_the_serial_bytes(capsys, monkeypatch):
+    serial_csv = run(capsys, "sweep", "--from", "1", "--to", "300")
+    forks = _split_three_ways(monkeypatch)
+    code, out, err = run(capsys, *JSON_300)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_SHA256[JSON_300]
+    assert run(capsys, "sweep", "--from", "1", "--to", "300") == serial_csv
+    assert len(forks) == 4  # two children a sweep
+    assert _no_children_left()
+
+
+def test_split_sweep_fails_at_the_lowest_a_with_the_serial_message(capsys, monkeypatch):
+    for bad in ((150,), (250,), (150, 250), (50, 250)):
+        with monkeypatch.context() as m:
+            _fault_at(m, *bad)
+            serial = run(capsys, "sweep", "--from", "1", "--to", "300")
+            _split_three_ways(m)
+            split = run(capsys, "sweep", "--from", "1", "--to", "300")
+        assert split == serial, bad
+        assert split[:2] == (4, "") and split[2].startswith(
+            f"internal error: sigma certificate failed at a={bad[0]}:"), bad
+        assert _no_children_left()
+
+
+def test_split_sweep_reaps_its_children_after_a_parent_failure(capsys, monkeypatch):
+    # 3000 rows a block: a child's payload overfills a pipe, so the children
+    # may be blocked writing when the parent fails at the end of its block
+    forks = _split_three_ways(monkeypatch)
+    _fault_at(monkeypatch, 3000)
+    code, out, err = run(capsys, "sweep", "--from", "1", "--to", "9000")
+    assert (code, out) == (4, "") and len(forks) == 2
+    assert err.startswith("internal error: sigma certificate failed at a=3000:")
+    assert _no_children_left()
+    # Ctrl-C in the parent while the children are still at work: they are
+    # killed, not waited for
+    parent = os.getpid()
+    sweep = analysis.sweep
+
+    def interrupted(lo, hi):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(30)
+        return sweep(lo, hi)
+
+    monkeypatch.setattr(analysis, "sweep", interrupted)
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        main(["sweep", "--from", "1", "--to", "300"])
+    assert time.perf_counter() - t0 < 10
+    assert _no_children_left()
+
+
+def test_split_sweep_stays_serial_when_it_cannot_fork(capsys, monkeypatch):
+    serial = run(capsys, *JSON_300)
+    forks = _split_three_ways(monkeypatch)
+    fork = os.fork  # the counting fork
+
+    def fork_once():
+        if forks:
+            raise OSError(11, "Resource temporarily unavailable")
+        return fork()
+
+    def no_fork():
+        raise OSError(12, "Cannot allocate memory")
+
+    # the first child, or none, then the parent computes the other blocks
+    for failing_fork, children in ((fork_once, 1), (no_fork, 0)):
+        forks.clear()
+        monkeypatch.setattr(os, "fork", failing_fork)
+        assert run(capsys, *JSON_300) == serial
+        assert len(forks) == children and _no_children_left()
+    # one allowed CPU, or no way to fork or to ask: no child at all
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    monkeypatch.setattr(cli, "_allowed_cpus", lambda: 1)
+    assert run(capsys, *JSON_300) == serial
+    monkeypatch.undo()
+    for name in ("fork", "sched_getaffinity"):
+        with monkeypatch.context() as m:
+            m.delattr(os, name, raising=False)
+            assert cli._allowed_cpus() == 1
+
+
+def test_split_sweep_reports_a_child_that_sends_no_rows(capsys, monkeypatch):
+    _split_three_ways(monkeypatch)
+    parent = os.getpid()
+    sweep = analysis.sweep
+
+    def dying(lo, hi):
+        if os.getpid() != parent:
+            os._exit(1)
+        return sweep(lo, hi)
+
+    monkeypatch.setattr(analysis, "sweep", dying)
+    code, out, err = run(capsys, "sweep", "--from", "1", "--to", "300")
+    assert (code, out) == (3, "")
+    assert err == "i/o error: sweep child for a=101..200 ended without its rows\n"
+    assert _no_children_left()
+    # an error the parent has no exit code for comes back as a RuntimeError
+    monkeypatch.setattr(analysis, "sweep", lambda lo, hi: sweep(lo, hi) if lo == 1 else 1 // 0)
+    with pytest.raises(RuntimeError, match=r"a=101..200: ZeroDivisionError"):
+        main(["sweep", "--from", "1", "--to", "300"])
+    assert _no_children_left()
+
+
+def test_plan_blocks_bounds_the_fan_out():
+    lo, hi = 1, 10**12
+    blocks = cli.plan_blocks(lo, hi, 64, cli.SWEEP_MIN_BLOCK_ROWS)
+    assert len(blocks) == 64
+    assert blocks[0][0] == lo and blocks[-1][1] == hi
+    assert all(b[0] == a[1] + 1 for a, b in zip(blocks, blocks[1:]))
+    assert min(b - a + 1 for a, b in blocks) >= cli.SWEEP_MIN_BLOCK_ROWS
+    # under two minimum blocks, a range is not split
+    assert cli.plan_blocks(1, 2 * cli.SWEEP_MIN_BLOCK_ROWS - 1, 64,
+                           cli.SWEEP_MIN_BLOCK_ROWS) == [(1, 2 * cli.SWEEP_MIN_BLOCK_ROWS - 1)]
+
+
+@given(a_from=st.integers(-5, 10**30), rows=st.integers(-3, 10**6),
+       cpus=st.integers(1, 512), min_rows=st.integers(1, 10**4))
+def test_plan_blocks_covers_the_range_in_order(a_from, rows, cpus, min_rows):
+    a_to = a_from + rows - 1
+    blocks = cli.plan_blocks(a_from, a_to, cpus, min_rows)
+    if rows < 2 * min_rows or cpus == 1:
+        assert blocks == [(a_from, a_to)]
+        return
+    sizes = [hi - lo + 1 for lo, hi in blocks]
+    assert 2 <= len(blocks) <= cpus
+    assert blocks[0][0] == a_from and blocks[-1][1] == a_to
+    assert all(b[0] == a[1] + 1 for a, b in zip(blocks, blocks[1:]))
+    assert min(sizes) >= min_rows and max(sizes) - min(sizes) <= 1
+    assert sizes[0] == min(sizes)
