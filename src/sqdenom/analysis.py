@@ -15,7 +15,7 @@ from typing import NamedTuple
 from .exactmath import is_perfect_square
 from .sigmacore import (
     ConsistencyError,
-    _min_k_walk,
+    _curve_index,
     certified_first_pair,
     min_k,
     sigma,
@@ -77,25 +77,28 @@ def tau_profile(a: int, s_max: int) -> TauProfile:
 def _record(a: int) -> SweepRecord:
     """The row for a from one certified kernel call, once sigma is checked
     against its bounds.  On the bound, s = sigma_1(a) = sigma_k(a, 1), so
-    the curve index is 1 without a min_k walk; off it, s > sigma_1(a), so
-    the walk starts at k = 2."""
+    the curve index is 1 with no further work; off it, the index comes in
+    closed form from sigmacore._curve_index, two isqrt calls and one
+    sigma_k check, instead of min_k's O(k) walk."""
     t, s = certified_first_pair(a)
     s1 = sigma_lower(a)
     upper = sigma_upper(a)
     if not (s1 <= s <= upper):
         raise ConsistencyError(f"bounds violated at a={a}")
     on_bound = s == s1
-    return SweepRecord(a, s, s1, upper, on_bound, 1 if on_bound else _min_k_walk(a, s, 2), t)
+    return SweepRecord(a, s, s1, upper, on_bound, 1 if on_bound else _curve_index(a, s), t)
 
 
 def sweep(a_from: int, a_to: int) -> list[SweepRecord]:
     """Records for a_from..a_to inclusive, in order, one after another.
 
-    A row is about nine microseconds of exact integer work at small a
-    (a <= 20000).  This call never forks, as a library call must not start
-    processes behind its caller's back; the `sqdenom sweep` command splits
-    a long range over forked children, each of which runs this function on
-    one block (cli.plan_blocks).
+    A row is about seven microseconds of exact integer work at small a
+    (a <= 20000): one certified kernel call, sigma_1, and for an off-bound
+    row the closed-form curve index.  This call never forks, as a library
+    call must not start processes behind its caller's back; the `sqdenom
+    sweep` command splits a long range over forked children, each of which
+    runs this function on one block and sends back that block's finished
+    CSV or JSON text (cli.plan_blocks, cli._block_text).
     """
     if a_from < 1 or a_to < a_from:
         raise ValueError("need 1 <= a_from <= a_to")

@@ -25,9 +25,9 @@ TSET_MAX_WITNESSES = 10**6
 
 # The fewest rows `sweep` hands to one forked child.  A child costs its
 # fork, the copy-on-write pages it touches and the marshal round trip of
-# its rows; on a 2-vCPU x86-64 VM a two-block split of a whole `sqdenom
-# sweep` run broke even at about 3000 rows and won 21 of 21 pairs at 8192,
-# the shortest range this split allows.
+# its text; on a 2-vCPU x86-64 VM a two-block split of a whole `sqdenom
+# sweep` run won 14 of 21 pairs at 3000 rows (-3 % wall), 21 at 5000, 20
+# at 8192 (-12 %), the shortest range this split allows, and 21 at 20000.
 SWEEP_MIN_BLOCK_ROWS = 4096
 
 
@@ -111,22 +111,30 @@ def _allowed_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _sweep_child(lo: int, hi: int, fd: int, parent_fds: list[int]):
-    """Body of a forked child: send the rows of lo..hi, or the error that
-    stopped them, down fd as one marshal payload, then exit at once, so no
-    handler or buffer the parent set up runs or flushes twice.
-
-    The child first closes the read ends it inherited (parent_fds), so
-    that a closed pipe breaks the write of a child blocked on it.
-    """
+def _block_text(lo: int, hi: int, fmt: str) -> str:
+    """Rows lo..hi as output text: write_csv's lines without the header, or
+    the JSON row objects without the enclosing "[\n" and "\n]"."""
     from .analysis import sweep
 
+    records = sweep(lo, hi)
+    if fmt == "json":
+        import json
+
+        return json.dumps([r._asdict() for r in records], indent=2, sort_keys=True)[2:-2]
+    return "".join(["%d,%d,%d,%d,%d,%d,%d\n" % r for r in records])
+
+
+def _sweep_child(lo: int, hi: int, fmt: str, fd: int, parent_fds: list[int]):
+    """Forked child: close the read ends it inherited (parent_fds), so a
+    closed pipe breaks a blocked write; send (None, _block_text) or the
+    name and message of the exception that stopped it down fd as one
+    marshal payload; and exit at once, so nothing of the parent runs twice."""
     code = 1
     try:
         for parent_fd in parent_fds:
             os.close(parent_fd)
         try:
-            payload = (None, tuple(zip(*sweep(lo, hi))))
+            payload = (None, _block_text(lo, hi, fmt))
         except Exception as exc:
             payload = (type(exc).__name__, str(exc))
         with open(fd, "wb") as fh:
@@ -136,17 +144,13 @@ def _sweep_child(lo: int, hi: int, fd: int, parent_fds: list[int]):
         os._exit(code)
 
 
-def _sweep_records(a_from: int, a_to: int) -> list:
-    """analysis.sweep(a_from, a_to), with the range split over the allowed CPUs.
-
-    The parent computes the first block of plan_blocks and one forked child
-    each later block.  The parent then reads the children's rows in block
-    order, so the lowest failing a raises first, as in one process.  A block
-    that cannot be forked is computed by the parent in its turn.  Every
-    exit closes the pipes and reaps every child; on an error the children
-    still running are killed first.
-    """
-    from .analysis import SweepRecord, sweep
+def _sweep_texts(a_from: int, a_to: int, fmt: str) -> list[str]:
+    """_block_text of each block of plan_blocks, in order.  The parent forks
+    a child for each later block, formats the first block itself, then
+    reads the children's texts in block order, so the lowest failing a
+    raises first, as in one process; a block it could not fork it formats
+    in its turn.  Every exit closes the pipes and reaps every child, and an
+    error kills the children still running first."""
     from .sigmacore import ConsistencyError
 
     blocks = plan_blocks(a_from, a_to, _allowed_cpus(), SWEEP_MIN_BLOCK_ROWS)
@@ -161,15 +165,12 @@ def _sweep_records(a_from: int, a_to: int) -> list:
                 os.close(w)
                 break
             if pid == 0:
-                _sweep_child(lo, hi, w, [r] + [fd for _, fd in children])
+                _sweep_child(lo, hi, fmt, w, [r] + [fd for _, fd in children])
             children.append((pid, r))
             os.close(w)
-        records = sweep(*blocks[0])
-        for i, (lo, hi) in enumerate(blocks[1:]):
-            if i >= len(children):
-                records += sweep(lo, hi)
-                continue
-            with open(children[i][1], "rb", closefd=False) as fh:
+        texts = [_block_text(*blocks[0], fmt)]
+        for (lo, hi), (_, fd) in zip(blocks[1:], children):
+            with open(fd, "rb", closefd=False) as fh:
                 try:
                     error, body = marshal.loads(fh.read())
                 except (EOFError, ValueError):
@@ -178,7 +179,8 @@ def _sweep_records(a_from: int, a_to: int) -> list:
                 raise ConsistencyError(body)
             if error is not None:
                 raise RuntimeError(f"sweep child for a={lo}..{hi}: {error}: {body}")
-            records += map(SweepRecord._make, zip(*body))
+            texts.append(body)
+        texts += [_block_text(lo, hi, fmt) for lo, hi in blocks[1 + len(children):]]
     except BaseException:
         import signal
 
@@ -190,21 +192,19 @@ def _sweep_records(a_from: int, a_to: int) -> list:
             os.close(fd)
         for pid, _ in children:
             os.waitpid(pid, 0)
-    return records
+    return texts
 
 
 def cmd_sweep(args) -> int:
-    from .analysis import SweepRecord, write_csv
+    from .analysis import SweepRecord
 
-    records = _sweep_records(args.a_from, args.a_to)
+    texts = _sweep_texts(args.a_from, args.a_to, args.format)
     with _output(args.out) as fh:
         if args.format == "json":
-            import json
-
-            payload = [r._asdict() for r in records]
-            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            fh.write("[\n" + ",\n".join(texts) + "\n]\n")
         else:
-            write_csv(fh, SweepRecord._fields, records)
+            fh.write(",".join(SweepRecord._fields) + "\n")
+            fh.writelines(texts)
     return 0
 
 

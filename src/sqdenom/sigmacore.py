@@ -206,28 +206,50 @@ def min_k(a: int, s: int | None = None) -> int:
     only one, and sigma_k >= k+1 bounds the walk by sigma(a).  The walk
     works out sigma_k's frame once (n, m, a + 1, b + 1, c) and then takes
     sigma_k's two floors per step, two isqrt calls on integer locals.
+
+    The walk is O(k) where _curve_index is two isqrt calls, and it stays on
+    purpose: it is the independent oracle for the closed form, and the
+    benchmark checks each min_k answer with an O(k) scan of its own, which
+    would never finish on the k of about 4*10^24 that the closed form
+    returns at a near 10^50 within the benchmark's time budget.
+    ROADMAP item 1's O(1) is_min_curve_index unblocks the switch.
     """
     if s is None:
         s = sigma(a)
     elif a < 0:
         raise ValueError("a must be >= 0")
-    return _min_k_walk(a, s, 1)
-
-
-def _min_k_walk(a: int, s: int, k0: int) -> int:
-    """min_k(a, s) for a >= 0, walking k from k0 on; the caller knows that
-    no k < k0 matches (analysis._record starts an off-bound row at 2)."""
     n = isqrt(a)
     m = n + 1
     a1 = a + 1
     b1 = a1 - n * n
     c = m * m - a
     j = s - 1  # sigma_k(a) = s iff the larger floor is s - 1
-    for k in range(k0, s + 1):
+    for k in range(1, s + 1):
         kk = k * k
         left = (k * n + isqrt(kk * a1)) // b1
         right = (k * m + isqrt(kk * a)) // c
         if (left if left > right else right) == j:
+            return k
+    raise ConsistencyError(f"no curve index k <= {s} matches sigma({a})")
+
+
+def _curve_index(a: int, s: int) -> int:
+    """min_k(a, s) in closed form, for a >= 0, checked by one sigma_k call.
+
+    k*sigma_l(a) = k/(sqrt(a+1) - n) and k*sigma_r(a) = k/(m - sqrt(a)), so
+    with j = s - 1 the least k whose larger floor reaches j is
+    min(ceil(j*sqrt(a+1)) - j*n, j*m - floor(j*sqrt(a))), two isqrt calls
+    (ceil(sqrt(X)) = isqrt(X - 1) + 1 for X >= 1).  That k has
+    sigma_k(a) >= s and sigma_k(a, k-1) < s, so it is the one match exactly
+    when sigma_k(a, k) = s.  s < 2 leaves no curve (sigma_k >= k + 1 >= 2)
+    and would give isqrt(-1) at j = 0.
+    """
+    if s >= 2:
+        n = isqrt(a)
+        j = s - 1
+        jj = j * j
+        k = min(isqrt(jj * (a + 1) - 1) + 1 - j * n, j * (n + 1) - isqrt(jj * a))
+        if k >= 1 and sigma_k(a, k) == s:
             return k
     raise ConsistencyError(f"no curve index k <= {s} matches sigma({a})")
 

@@ -203,14 +203,3 @@ def run_length_first_pair(x, y):
         else:
             return p, q
 
-
-def min_k_closed_form(a, s):
-    """Least k with sigma_k(a) = s, for s = sigma(a), in two isqrt calls.
-
-    With n = isqrt(a), m = n + 1 and j = s - 1 it is
-    min(ceil(j*sqrt(a+1)) - j*n, j*m - floor(j*sqrt(a))); ceil(sqrt(X)) is
-    isqrt(X - 1) + 1 for X >= 1, and s >= 2 makes j >= 1.
-    """
-    n = isqrt(a)
-    j = s - 1
-    return min(isqrt(j * j * (a + 1) - 1) + 1 - j * n, j * (n + 1) - isqrt(j * j * a))

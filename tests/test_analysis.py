@@ -59,6 +59,12 @@ def test_write_csv_matches_the_csv_module(data):
     assert got.getvalue() == want.getvalue()
 
 
+def test_sweep_curve_index_matches_the_min_k_walk():
+    # off-bound rows take k in closed form; min_k's O(k) walk is the oracle
+    for r in sweep(1, 20000):
+        assert r.min_k == min_k(r.a, r.sigma), r.a
+
+
 def test_sweep_validation():
     with pytest.raises(ValueError):
         sweep(0, 5)

@@ -388,6 +388,18 @@ def test_split_sweep_writes_the_serial_bytes(capsys, monkeypatch):
     assert _no_children_left()
 
 
+def test_split_sweep_joins_one_row_blocks(capsys, monkeypatch):
+    argvs = [("sweep", "--from", "1", "--to", "3", "--format", fmt) for fmt in ("csv", "json")]
+    serial = [run(capsys, *argv) for argv in argvs]
+    rows = [r._asdict() for r in analysis.sweep(1, 3)]
+    assert serial[1] == (0, json.dumps(rows, indent=2, sort_keys=True) + "\n", "")
+    forks = _split_three_ways(monkeypatch)
+    monkeypatch.setattr(cli, "SWEEP_MIN_BLOCK_ROWS", 1)
+    assert cli.plan_blocks(1, 3, cli._allowed_cpus(), 1) == [(1, 1), (2, 2), (3, 3)]
+    assert [run(capsys, *argv) for argv in argvs] == serial
+    assert len(forks) == 4 and _no_children_left()
+
+
 def test_split_sweep_fails_at_the_lowest_a_with_the_serial_message(capsys, monkeypatch):
     for bad in ((150,), (250,), (150, 250), (50, 250)):
         with monkeypatch.context() as m:

@@ -26,7 +26,6 @@ from sqdenom.sigmacore import (
 from conftest import (
     brute_first_rational,
     cmp_int_vs_sum_sqrt,
-    min_k_closed_form,
     run_length_first_pair,
     tau_brute,
     zero_windows_scan,
@@ -268,7 +267,7 @@ def test_min_k_is_minimal():
 
 def test_min_k_matches_closed_form():
     for a in range(1, 20001):
-        assert min_k(a) == min_k_closed_form(a, sigma(a)), a
+        assert min_k(a) == sigmacore._curve_index(a, sigma(a)), a
 
 
 def test_zero_windows_structure():
@@ -362,11 +361,21 @@ def test_closed_form_min_k_at_every_scale(a):
     # sigma_k strictly increases in k, so these two checks make k the least
     # index on the curve through sigma(a); min_k's walk is O(k)
     s = run_length_first_pair(a, a + 1)[1]
-    k = min_k_closed_form(a, s)
+    k = sigmacore._curve_index(a, s)
     assert sigma_k(a, k) == s, a
     assert k == 1 or sigma_k(a, k - 1) < s, a
     if k <= 10**4:
         assert min_k(a, s) == k, a
+
+
+def test_curve_index_raises_consistency_error_off_every_curve():
+    # sigma_k(a) >= k + 1 >= 2, so s <= 1 is on no curve (and s = 1 would
+    # take isqrt(-1)); at a = 1 the curves give 3, 6, ..., and at a = 2
+    # they give 2, 4, 6, so s = 2 and s = 3 miss them
+    for a, s in ((2, 0), (2, 1), (10**200, 1), (1, 2), (2, 3)):
+        with pytest.raises(sigmacore.ConsistencyError, match=f"no curve index k <= {s} "):
+            sigmacore._curve_index(a, s)
+    assert sigmacore._curve_index(2, 2) == 1
 
 
 def test_zero_windows_step_down_from_k_max(monkeypatch):
