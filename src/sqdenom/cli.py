@@ -111,6 +111,12 @@ def _allowed_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
+# One sweep row as json.dumps(row._asdict(), indent=2, sort_keys=True)
+# writes it inside a list: the seven keys sorted, on_bound as true/false.
+_JSON_ROW = ('  {\n    "a": %d,\n    "min_k": %d,\n    "on_bound": %s,\n    "sigma": %d,\n'
+             '    "sigma1": %d,\n    "t_first": %d,\n    "upper": %d\n  }')
+
+
 def _block_text(lo: int, hi: int, fmt: str) -> str:
     """Rows lo..hi as output text: write_csv's lines without the header, or
     the JSON row objects without the enclosing "[\n" and "\n]"."""
@@ -118,9 +124,8 @@ def _block_text(lo: int, hi: int, fmt: str) -> str:
 
     records = sweep(lo, hi)
     if fmt == "json":
-        import json
-
-        return json.dumps([r._asdict() for r in records], indent=2, sort_keys=True)[2:-2]
+        return ",\n".join([_JSON_ROW % (a, k, "true" if on else "false", s, s1, t, up)
+                            for a, s, s1, up, on, k, t in records])
     return "".join(["%d,%d,%d,%d,%d,%d,%d\n" % r for r in records])
 
 
@@ -209,16 +214,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
-    from .analysis import write_csv
-    from .figures import heatmap_data, heatmap_svg
+    from .figures import heatmap_text
 
-    header, rows = heatmap_data(args.mode, args.a_min, args.a_max, args.s_min, args.s_max)
-    svg = heatmap_svg(args.mode, rows) if args.format == "svg" else None
+    text = heatmap_text(args.mode, args.format, args.a_min, args.a_max, args.s_min, args.s_max)
     with _output(args.out) as fh:
-        if svg is not None:
-            fh.write(svg)
-        else:
-            write_csv(fh, header, rows)
+        fh.write(text)
     return 0
 
 

@@ -13,13 +13,14 @@ the SVG coordinates.  Output is byte-deterministic.
 
 from __future__ import annotations
 
+from operator import sub
 from pathlib import Path
 
 from . import svg
 from .analysis import off_bound_points, sweep, write_csv
-from .sigmacore import sigma, sigma_k, tau
+from .sigmacore import sigma, sigma_k, tau_columns
 
-__all__ = ["FIG5_K_VALUES", "generate_figures", "heatmap_data", "heatmap_svg"]
+__all__ = ["FIG5_K_VALUES", "generate_figures", "heatmap_data", "heatmap_svg", "heatmap_text"]
 
 FIG5_K_VALUES = tuple(range(1, 16)) + (18, 19, 22, 29, 40)
 
@@ -97,53 +98,84 @@ def _delta_fill(d: int) -> str:
     return "white"
 
 
-def heatmap_data(mode: str, a_lo: int, a_hi: int, s_lo: int, s_hi: int):
-    """(header, rows) for a tau or tau-step grid, sorted by a then s.
+def _tau_fill(v: int) -> str:
+    return _TAU_FILLS[min(v, 10)]
 
-    Delta mode carries tau(a, s-1) along each a, so every cell costs one tau.
-    """
+
+def _heatmap_columns(mode: str, a_lo: int, a_hi: int, s_lo: int, s_hi: int):
+    """The grid's values, one list per a over s_lo..s_hi: tau(a, s), or in
+    delta mode tau(a, s) - tau(a, s-1), differences within a tau column
+    that starts one s lower."""
     if mode not in ("tau", "delta"):
         raise ValueError(f"unknown heatmap mode: {mode!r}")
     if a_lo < 1 or a_hi < a_lo:
         raise ValueError("need 1 <= a-min <= a-max")
     if s_lo < 1 or s_hi < s_lo:
         raise ValueError("need 1 <= s-min <= s-max")
-    if mode == "delta" and s_lo < 2:
-        raise ValueError("delta mode needs s-min >= 2")
-    rows = []
-    for a in range(a_lo, a_hi + 1):
-        if mode == "tau":
-            rows.extend((a, s, tau(a, s)) for s in range(s_lo, s_hi + 1))
-        else:
-            prev = tau(a, s_lo - 1)
-            for s in range(s_lo, s_hi + 1):
-                cur = tau(a, s)
-                rows.append((a, s, cur - prev))
-                prev = cur
-    return ["a", "s", mode], rows
-
-
-def heatmap_svg(mode: str, rows) -> str:
-    """Draw the rows of heatmap_data(mode, ...); the grid spans the first
-    row's (a, s) to the last row's."""
-    (a_lo, s_lo, _), (a_hi, s_hi, _) = rows[0], rows[-1]
     if mode == "tau":
-        title = "tau(a, s): white 0, black >= 10"
-        cells = ((a, s, _TAU_FILLS[min(v, 10)]) for a, s, v in rows)
+        return tau_columns(a_lo, a_hi, s_lo, s_hi)
+    if s_lo < 2:
+        raise ValueError("delta mode needs s-min >= 2")
+    return [list(map(sub, col[1:], col)) for col in tau_columns(a_lo, a_hi, s_lo - 1, s_hi)]
+
+
+def _heatmap_csv(mode: str, a_lo: int, s_lo: int, columns) -> str:
+    """write_csv's bytes for the grid: "a," then "s,v\n" a cell."""
+    heads = [f"{a}," for a in range(a_lo, a_lo + len(columns))]
+    body = svg.join_cells(heads, columns, "", lambda j, v: f"{s_lo + j},{v}\n")
+    return f"a,s,{mode}\n{body}"
+
+
+def _heatmap_svg(mode: str, a_lo: int, s_lo: int, columns) -> str:
+    a_hi, s_hi = a_lo + len(columns) - 1, s_lo + len(columns[0]) - 1
+    if mode == "tau":
+        title, fill = "tau(a, s): white 0, black >= 10", _tau_fill
     else:
-        title = "tau(a, s) - tau(a, s-1): black +1, red -1, white 0"
-        cells = ((a, s, _delta_fill(v)) for a, s, v in rows)
+        title, fill = "tau(a, s) - tau(a, s-1): black +1, red -1, white 0", _delta_fill
     frame = svg.Frame(820, 460, a_lo - 0.5, a_hi + 0.5, s_lo - 0.5, s_hi + 0.5)
     parts = svg.open_svg(frame, title)
-    svg.draw_cells(parts, frame, cells)
+    svg.draw_cells(parts, frame, a_lo, s_lo, columns, fill)
     svg.draw_axes(parts, frame, "a", "s")
     return svg.close_svg(parts)
 
 
+def heatmap_text(mode: str, fmt: str, a_lo: int, a_hi: int, s_lo: int, s_hi: int) -> str:
+    """The tau or tau-step grid as CSV or SVG text, from one column pass."""
+    columns = _heatmap_columns(mode, a_lo, a_hi, s_lo, s_hi)
+    if fmt == "csv":
+        return _heatmap_csv(mode, a_lo, s_lo, columns)
+    return _heatmap_svg(mode, a_lo, s_lo, columns)
+
+
+def heatmap_data(mode: str, a_lo: int, a_hi: int, s_lo: int, s_hi: int):
+    """(header, rows) for a tau or tau-step grid, sorted by a then s.
+
+    The rows are the (a, s, value) cells of tau_columns' grid, which costs
+    one isqrt a cell; delta mode takes one more s a column.
+    """
+    columns = _heatmap_columns(mode, a_lo, a_hi, s_lo, s_hi)
+    s_range = range(s_lo, s_hi + 1)
+    rows = [(a, s, v) for a, col in zip(range(a_lo, a_hi + 1), columns)
+            for s, v in zip(s_range, col)]
+    return ["a", "s", mode], rows
+
+
+def heatmap_svg(mode: str, rows) -> str:
+    """Draw the rows of heatmap_data(mode, ...): a full grid, sorted by a
+    then s, spanning the first row's (a, s) to the last row's."""
+    (a_lo, s_lo, _), (a_hi, s_hi, _) = rows[0], rows[-1]
+    depth = s_hi - s_lo + 1
+    if len(rows) != (a_hi - a_lo + 1) * depth:
+        raise ValueError("heatmap_svg needs every cell of the grid")
+    values = [v for _, _, v in rows]
+    columns = [values[i:i + depth] for i in range(0, len(values), depth)]
+    return _heatmap_svg(mode, a_lo, s_lo, columns)
+
+
 def _fig_heatmap(out_dir: Path, name: str, mode: str, a_lo: int) -> None:
-    header, rows = heatmap_data(mode, a_lo, 256, 2, 100)
-    _write_csv(out_dir / f"{name}.csv", header, rows)
-    (out_dir / f"{name}.svg").write_text(heatmap_svg(mode, rows))
+    columns = _heatmap_columns(mode, a_lo, 256, 2, 100)
+    (out_dir / f"{name}.csv").write_text(_heatmap_csv(mode, a_lo, 2, columns), newline="")
+    (out_dir / f"{name}.svg").write_text(_heatmap_svg(mode, a_lo, 2, columns))
 
 
 def _fig5(out_dir: Path) -> None:

@@ -22,6 +22,8 @@ sigma(a) is the denominator that confrac.first_pair_between finds in
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import mul, sub
 from typing import NamedTuple
 
 from .confrac import first_pair_between, is_first_rational_between
@@ -32,6 +34,7 @@ __all__ = [
     "Decomposition",
     "decompose",
     "tau",
+    "tau_columns",
     "t_set",
     "sigma",
     "certified_first_pair",
@@ -93,6 +96,37 @@ def tau(a: int, s: int) -> int:
     """
     _check_pair(a, s)
     return isqrt(s * s * (a + 1) - 1) - isqrt(s * s * a)
+
+
+def tau_columns(a_lo: int, a_hi: int, s_lo: int, s_hi: int) -> list[list[int]]:
+    """[tau(a, s) for s in s_lo..s_hi] for each a in a_lo..a_hi, in order,
+    at one isqrt a cell.
+
+    isqrt(N - 1) = isqrt(N) - 1 exactly when N is a positive square, and
+    isqrt(N - 1) = isqrt(N) otherwise, since then isqrt(N)^2 < N.  With
+    N = s^2*(a+1), which for s >= 1 is a square iff a+1 is, tau's formula
+    becomes
+
+        tau(a, s) = isqrt(s^2*(a+1)) - isqrt(s^2*a) - [a+1 is a square],
+
+    and a column's isqrt(s^2*(a+1)) is the next column's isqrt(s^2*a), so
+    each column costs one isqrt a cell, plus one column of isqrt(s^2*a_lo)
+    to start.  tau is the point formula and this grid's oracle.
+    """
+    _check_pair(a_lo, s_lo)
+    squares = [s * s for s in range(s_lo, s_hi + 1)]
+    lower = list(map(isqrt, map(mul, squares, repeat(a_lo))))
+    m = isqrt(a_lo) + 1  # m^2 is the least square above a_lo
+    columns = []
+    for a1 in range(a_lo + 1, a_hi + 2):
+        upper = list(map(isqrt, map(mul, squares, repeat(a1))))
+        if a1 == m * m:
+            columns.append([u - v - 1 for u, v in zip(upper, lower)])
+            m += 1
+        else:
+            columns.append(list(map(sub, upper, lower)))
+        lower = upper
+    return columns
 
 
 def t_set(a: int, s: int) -> list[int]:

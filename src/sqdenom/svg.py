@@ -7,6 +7,8 @@ Coordinates are the only place the library converts exact values to floats.
 
 from __future__ import annotations
 
+from operator import getitem
+
 MARGIN_L = 54
 MARGIN_R = 16
 MARGIN_T = 34
@@ -134,20 +136,36 @@ def draw_polyline(parts, frame, points, color) -> None:
     )
 
 
-def draw_cells(parts, frame, cells) -> None:
-    """cells: iterable of (x, y, fill) for unit cells centered on integers."""
+def join_cells(heads, columns, sep, piece) -> str:
+    """A grid's cell texts joined by sep, column by column: cell j of
+    column i, of value v, reads heads[i] + piece(j, v).
+
+    Each row keeps a table of its pieces by value, formatted the first time
+    the value shows up in that row, so no value range is assumed and each
+    column costs one C-level lookup of its values and one join.  Columns
+    are nonempty and all as long as the first.
+    """
+    tails = [{} for _ in columns[0]]
+    texts = []
+    for head, column in zip(heads, columns):
+        try:
+            pieces = list(map(getitem, tails, column))
+        except KeyError:
+            for j, v in enumerate(column):
+                if v not in tails[j]:
+                    tails[j][v] = piece(j, v)
+            pieces = list(map(getitem, tails, column))
+        texts.append(head + (sep + head).join(pieces))
+    return sep.join(texts)
+
+
+def draw_cells(parts, frame, x_lo, y_lo, columns, fill) -> None:
+    """Unit cells centred on integers, one list of values a column: value j
+    of column i is the cell at (x_lo + i, y_lo + j), filled with fill(value)."""
     half_w = frame.plot_w / (frame.x_hi - frame.x_lo) / 2
     half_h = frame.plot_h / (frame.y_hi - frame.y_lo) / 2
-    w = _fmt(2 * half_w)
-    h = _fmt(2 * half_h)
-    # a grid repeats each column's x and each row's y: format each once
-    xs = {}
-    ys = {}
-    for x, y, fill in cells:
-        if x not in xs:
-            xs[x] = _fmt(frame.x(x) - half_w)
-        if y not in ys:
-            ys[y] = _fmt(frame.y(y) - half_h)
-        parts.append(
-            f'<rect x="{xs[x]}" y="{ys[y]}" width="{w}" height="{h}" fill="{fill}"/>'
-        )
+    size = f'" width="{_fmt(2 * half_w)}" height="{_fmt(2 * half_h)}" fill="'
+    heads = [f'<rect x="{_fmt(frame.x(x) - half_w)}" y="'
+             for x in range(x_lo, x_lo + len(columns))]
+    ys = [_fmt(frame.y(y) - half_h) + size for y in range(y_lo, y_lo + len(columns[0]))]
+    parts.append(join_cells(heads, columns, "\n", lambda j, v: f'{ys[j]}{fill(v)}"/>'))

@@ -10,7 +10,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sqdenom
@@ -274,6 +274,8 @@ def test_cli_import_loads_only_the_parser():
     (["analyze", "kset", "--n", "2"], ["sqdenom.figures", "sqdenom.svg", "csv"]),
     (["sweep", "--from", "1", "--to", "3"],
      ["sqdenom.figures", "sqdenom.svg", "csv", "json", "multiprocessing", "concurrent.futures"]),
+    (["sweep", "--from", "1", "--to", "3", "--format", "json"],
+     ["sqdenom.figures", "sqdenom.svg", "csv", "json"]),
 ])
 def test_commands_load_only_what_they_use(argv, unused):
     loaded = _modules_after("from sqdenom.cli import main", f"main({argv!r})")
@@ -337,6 +339,14 @@ OUTPUT_SHA256 = {
         "a8e1110951aaf720e81e44f75d806de6f1b91af892481f545372c0470ec2e85c",
     ("analyze", "closure", "--a", "12", "--s-max", "100"):
         "b88d01c5dec831668b9cebf0d4db169eade26b41d756172a061e2be7ee5afb4f",
+    ("heatmap",):
+        "ac58b59cbeba30f63f93c55e726cac3c289a9d99c1a0d1ea1d76b842e5f90537",
+    ("heatmap", "--mode", "delta", "--format", "csv"):
+        "833c4513a110c6ce2e4ea12ee65d9216a48c697149390e812e8c86c97479fe3d",
+    # a + 1 = 10^40 is a square: the grid crosses it at scale
+    ("heatmap", "--a-min", str(10**40 - 3), "--a-max", str(10**40 + 2),
+     "--s-min", "1", "--s-max", "40", "--format", "csv"):
+        "86a8879342fd30982a36a692c4d6a19aa5b07a12f78d361a84e140a5932df74d",
 }
 
 
@@ -345,6 +355,14 @@ def test_output_bytes_are_pinned(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, ""), argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(st.integers(1, 20000), st.integers(1, 10**40)), st.integers(1, 30))
+def test_json_sweep_block_matches_json_dumps(lo, rows):
+    hi = lo + rows - 1
+    objects = [r._asdict() for r in analysis.sweep(lo, hi)]
+    assert cli._block_text(lo, hi, "json") == json.dumps(objects, indent=2, sort_keys=True)[2:-2]
 
 
 # --- the forked sweep -------------------------------------------------------

@@ -20,6 +20,7 @@ from sqdenom.sigmacore import (
     sigma_upper,
     t_set,
     tau,
+    tau_columns,
     zero_windows,
 )
 
@@ -366,6 +367,45 @@ def test_closed_form_min_k_at_every_scale(a):
     assert k == 1 or sigma_k(a, k - 1) < s, a
     if k <= 10**4:
         assert min_k(a, s) == k, a
+
+
+# first a of a grid: up to 10^300, or a few below to one above a square
+_grid_a = st.one_of(
+    st.integers(min_value=0, max_value=10**300),
+    st.builds(lambda n, d: max(n * n + d, 0),
+              st.integers(min_value=0, max_value=10**150), st.integers(min_value=-3, max_value=1)),
+)
+
+
+def _point_columns(a_lo, a_hi, s_lo, s_hi):
+    return [[tau(a, s) for s in range(s_lo, s_hi + 1)] for a in range(a_lo, a_hi + 1)]
+
+
+@settings(max_examples=300)
+@given(_grid_a, st.integers(min_value=0, max_value=4),
+       st.one_of(st.just(1), st.integers(min_value=1, max_value=10**6)),
+       st.integers(min_value=0, max_value=30))
+@example(10**200 - 1, 2, 1, 0)  # the square 10^200 in a one-row grid from s = 1
+@example(8, 0, 90, 10)  # one column with tau(8, s) > 10
+@example(1, 3, 1, 200)  # tau up to 82
+def test_tau_columns_match_point_tau(a_lo, width, s_lo, depth):
+    a_hi, s_hi = a_lo + width, s_lo + depth
+    assert tau_columns(a_lo, a_hi, s_lo, s_hi) == _point_columns(a_lo, a_hi, s_lo, s_hi)
+
+
+def test_tau_columns_examples():
+    assert tau_columns(8, 8, 6, 6) == [[1]]
+    # a + 1 = 4, 9 and 16 are squares: without the correction each would
+    # count t = s*sqrt(a+1), and tau(a, 1) = 0 would read 1
+    assert tau_columns(2, 16, 1, 1) == [[0]] * 15
+    assert tau_columns(0, 2, 1, 4) == [[0, 1, 2, 3], [0, 0, 1, 1], [0, 1, 1, 1]]
+    big = tau_columns(1, 1, 1, 500)[0]
+    assert max(big) > 10 and big == _point_columns(1, 1, 1, 500)[0]
+    assert tau_columns(5, 4, 1, 3) == [] and tau_columns(4, 5, 3, 2) == [[], []]
+    with pytest.raises(ValueError):
+        tau_columns(-1, 2, 1, 2)
+    with pytest.raises(ValueError):
+        tau_columns(1, 2, 0, 2)
 
 
 def test_curve_index_raises_consistency_error_off_every_curve():
