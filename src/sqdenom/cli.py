@@ -118,15 +118,15 @@ _JSON_ROW = ('  {\n    "a": %d,\n    "min_k": %d,\n    "on_bound": %s,\n    "sig
 
 
 def _block_text(lo: int, hi: int, fmt: str) -> str:
-    """Rows lo..hi as output text: write_csv's lines without the header, or
-    the JSON row objects without the enclosing "[\n" and "\n]"."""
-    from .analysis import sweep
+    """Rows lo..hi as text straight from their tuples: write_csv's lines
+    without the header, or the JSON objects without the enclosing "[\n", "\n]"."""
+    from .analysis import _sweep_rows
 
-    records = sweep(lo, hi)
+    rows = _sweep_rows(lo, hi)
     if fmt == "json":
         return ",\n".join([_JSON_ROW % (a, k, "true" if on else "false", s, s1, t, up)
-                            for a, s, s1, up, on, k, t in records])
-    return "".join(["%d,%d,%d,%d,%d,%d,%d\n" % r for r in records])
+                            for a, s, s1, up, on, k, t in rows])
+    return "".join(["%d,%d,%d,%d,%d,%d,%d\n" % r for r in rows])
 
 
 def _sweep_child(lo: int, hi: int, fmt: str, fd: int, parent_fds: list[int]):

@@ -23,11 +23,17 @@ only.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .exactmath import isqrt
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+# The most period terms sqrt_cf builds: a period can have about sqrt(d) terms,
+# and 10^6 of them take about a third of a second, at d near 10^12.
+SQRT_CF_MAX_TERMS = 10**6
 
 __all__ = [
     "CFExpansion",
@@ -68,7 +74,8 @@ def sqrt_cf(d: int) -> CFExpansion:
     a = 2*a0 exactly when den = 1 (which forces m = a0), and a <= a0
     otherwise.  den = 1 happens exactly at the end of each period
     (Khinchin, Continued Fractions), so the walk stops after the first
-    partial quotient equal to 2*a0.
+    partial quotient equal to 2*a0, or raises ValueError past
+    SQRT_CF_MAX_TERMS terms.
     """
     if d < 1:
         raise ValueError("radicand must be >= 1")
@@ -77,12 +84,14 @@ def sqrt_cf(d: int) -> CFExpansion:
         return CFExpansion(a0, ())
     body = []
     m, den, a = 0, 1, a0
-    while a != 2 * a0:
+    for _ in range(SQRT_CF_MAX_TERMS):
         m = den * a - m
         den = (d - m * m) // den
         a = (a0 + m) // den
         body.append(a)
-    return CFExpansion(a0, tuple(body))
+        if a == 2 * a0:
+            return CFExpansion(a0, tuple(body))
+    raise ValueError(f"the period of sqrt({d}) has over {SQRT_CF_MAX_TERMS} terms")
 
 
 def _root(d: int) -> tuple[int, int, int, int]:
@@ -156,7 +165,9 @@ def first_rational_between(x_radicand: int, y_radicand: int) -> Fraction:
     Denominator ties (possible only among integers) resolve to the smaller
     numerator.  Either endpoint radicand may be a perfect square.
     """
-    return Fraction(*first_pair_between(x_radicand, y_radicand))
+    import fractions  # a plain import: "from ... import" costs about 1 us a call
+
+    return fractions.Fraction(*first_pair_between(x_radicand, y_radicand))
 
 
 def stern_brocot_between(x_radicand: int, y_radicand: int) -> Fraction:

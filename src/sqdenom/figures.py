@@ -128,6 +128,9 @@ def _heatmap_csv(mode: str, a_lo: int, s_lo: int, columns) -> str:
 
 def _heatmap_svg(mode: str, a_lo: int, s_lo: int, columns) -> str:
     a_hi, s_hi = a_lo + len(columns) - 1, s_lo + len(columns[0]) - 1
+    # svg.Frame's floats hold every cell edge a +- 0.5 only below 2^52
+    if max(a_hi, s_hi) >= 2**52:
+        raise ValueError("heatmap SVG needs a-max and s-max below 2^52; use --format csv")
     if mode == "tau":
         title, fill = "tau(a, s): white 0, black >= 10", _tau_fill
     else:

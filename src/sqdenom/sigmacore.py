@@ -147,6 +147,15 @@ def sigma_r(a: int) -> Surd:
     return Surd(dc.m, 1, a, dc.c)
 
 
+def _top_floor(k: int, n: int, root: int, root1: int, b1: int, c: int) -> int:
+    """sigma_k(a) - 1 in a's frame, the larger of (k*n + root1)//(b+1) and
+    (k*m + root)//c with root = isqrt(k^2*a), root1 = isqrt(k^2*(a+1)),
+    b1 = b + 1 and c = m^2 - a; sigma_k, _curve_index and sweeps share it."""
+    left = (k * n + root1) // b1
+    right = (k * (n + 1) + root) // c
+    return left if left > right else right
+
+
 def sigma_k(a: int, k: int) -> int:
     """floor(max(k*sigma_l(a), k*sigma_r(a))) + 1, in pure integers.
 
@@ -168,9 +177,7 @@ def sigma_k(a: int, k: int) -> int:
     n = isqrt(a)
     m = n + 1
     kk = k * k
-    left = (k * n + isqrt(kk * (a + 1))) // (a - n * n + 1)
-    right = (k * m + isqrt(kk * a)) // (m * m - a)
-    return (left if left > right else right) + 1
+    return _top_floor(k, n, isqrt(kk * a), isqrt(kk * (a + 1)), a - n * n + 1, m * m - a) + 1
 
 
 def sigma_lower(a: int) -> int:
@@ -267,8 +274,9 @@ def min_k(a: int, s: int | None = None) -> int:
     raise ConsistencyError(f"no curve index k <= {s} matches sigma({a})")
 
 
-def _curve_index(a: int, s: int) -> int:
-    """min_k(a, s) in closed form, for a >= 0, checked by one sigma_k call.
+def _curve_index(a: int, s: int, n: int, b1: int, c: int) -> int:
+    """min_k(a, s) in closed form, for a >= 0 in its frame (n = isqrt(a),
+    b1 = b + 1, c = m^2 - a), checked by one sigma_k in that frame.
 
     k*sigma_l(a) = k/(sqrt(a+1) - n) and k*sigma_r(a) = k/(m - sqrt(a)), so
     with j = s - 1 the least k whose larger floor reaches j is
@@ -279,12 +287,13 @@ def _curve_index(a: int, s: int) -> int:
     and would give isqrt(-1) at j = 0.
     """
     if s >= 2:
-        n = isqrt(a)
         j = s - 1
         jj = j * j
         k = min(isqrt(jj * (a + 1) - 1) + 1 - j * n, j * (n + 1) - isqrt(jj * a))
-        if k >= 1 and sigma_k(a, k) == s:
-            return k
+        if k >= 1:
+            kk = k * k
+            if _top_floor(k, n, isqrt(kk * a), isqrt(kk * (a + 1)), b1, c) == j:
+                return k
     raise ConsistencyError(f"no curve index k <= {s} matches sigma({a})")
 
 

@@ -8,7 +8,7 @@ folded from the partial quotients of an expansion, a per-(a, k) scan
 for the first witness-count decrement, a per-k scan of the zero
 windows that compares every window's ends, plain and run-length
 Stern-Brocot descents for the first rational between two square roots,
-and the closed form of the least curve index.
+and a sweep row built value by value from the public point functions.
 """
 
 from decimal import Decimal, localcontext
@@ -16,8 +16,16 @@ from fractions import Fraction
 from itertools import cycle, islice
 from math import isqrt
 
+from sqdenom.analysis import SweepRecord
 from sqdenom.exactmath import Surd, surd_cmp
-from sqdenom.sigmacore import ZeroWindow
+from sqdenom.sigmacore import (
+    ConsistencyError,
+    ZeroWindow,
+    certified_first_pair,
+    sigma_k,
+    sigma_lower,
+    sigma_upper,
+)
 
 
 def dec_sqrt(n, prec=80):
@@ -203,3 +211,20 @@ def run_length_first_pair(x, y):
         else:
             return p, q
 
+
+def sweep_record(a):
+    """Oracle for one sweep row, a >= 1: each value from its own point
+    function, each working out a's frame afresh.  The pair is the certified
+    kernel's, sigma_1 and the upper bound come from sigma_lower and
+    sigma_upper, and the curve index is the closed form's candidate, kept
+    only when sigma_k shows it to be the least k on sigma's curve."""
+    t, s = certified_first_pair(a)
+    s1 = sigma_lower(a)
+    upper = sigma_upper(a)
+    if not s1 <= s <= upper:
+        raise ConsistencyError(f"bounds violated at a={a}")
+    n, j = isqrt(a), s - 1
+    k = min(isqrt(j * j * (a + 1) - 1) + 1 - j * n, j * (n + 1) - isqrt(j * j * a))
+    if not (k >= 1 and sigma_k(a, k) == s and (k == 1 or sigma_k(a, k - 1) < s)):
+        raise ConsistencyError(f"no curve index k <= {s} matches sigma({a})")
+    return SweepRecord(a, s, s1, upper, s == s1, k, t)

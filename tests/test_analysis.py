@@ -6,10 +6,10 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqdenom import analysis, sigmacore
+from sqdenom import analysis, cli, sigmacore
 from sqdenom.analysis import (
     SweepRecord,
     TauProfile,
@@ -27,7 +27,7 @@ from sqdenom.analysis import (
 )
 from sqdenom.sigmacore import ConsistencyError, min_k, sigma, sigma_k, sigma_upper, tau
 
-from conftest import cmp_int_vs_sum_sqrt, first_decrement
+from conftest import cmp_int_vs_sum_sqrt, first_decrement, sweep_record
 
 
 def test_sweep_single_records():
@@ -65,6 +65,34 @@ def test_sweep_curve_index_matches_the_min_k_walk():
         assert r.min_k == min_k(r.a, r.sigma), r.a
 
 
+# first a of a sweep range: small, anywhere up to 10^300 (mid-interval,
+# almost surely), or a few below to one above a square n^2, so that the
+# range crosses n^2 - 1, n^2 and n^2 + 1 and the row loop changes frame
+_sweep_from = st.one_of(
+    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=1, max_value=10**300),
+    st.builds(lambda n, d: max(n * n + d, 1),
+              st.one_of(st.integers(min_value=1, max_value=1000),
+                        st.integers(min_value=1, max_value=10**150)),
+              st.integers(min_value=-3, max_value=1)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sweep_from, st.integers(min_value=1, max_value=40))
+@example(8, 1)  # a + 1 = 9: sigma_1 takes isqrt(a+1) = m
+@example(9, 1)  # a = n^2: b + 1 = 1
+@example(10**200 - 1, 1)  # a = m^2 - 1: c = 1
+@example(10**200 - 2, 4)  # across the square 10^200
+@example(1, 40)  # across 4, 9, 16, 25 and 36
+def test_sweep_rows_match_the_per_row_oracle(a_from, rows):
+    a_to = a_from + rows - 1
+    want = [sweep_record(a) for a in range(a_from, a_to + 1)]
+    assert sweep(a_from, a_to) == want
+    assert cli._block_text(a_from, a_to, "csv") == "".join(
+        "%d,%d,%d,%d,%d,%d,%d\n" % r for r in want)
+
+
 def test_sweep_validation():
     with pytest.raises(ValueError):
         sweep(0, 5)
@@ -80,7 +108,14 @@ def test_sweep_record_rejects_inconsistent_rows(monkeypatch):
             with pytest.raises(ConsistencyError):
                 sweep(19, 19)
     # a certified sigma = 5 below a lower bound of 6 breaks the row check
-    monkeypatch.setattr(analysis, "sigma_lower", lambda a: 6)
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "_top_floor", lambda *frame: 5)
+        with pytest.raises(ConsistencyError, match="bounds violated"):
+            sweep(19, 19)
+    # so does sigma = 10 above the upper bound of 9, once its certificate is
+    # forced through (tau(19, 10) = 1 holds: 43^2 < 1900 < 44^2 < 2000)
+    monkeypatch.setattr(sigmacore, "is_first_rational_between", lambda *pair: True)
+    monkeypatch.setattr(sigmacore, "first_pair_between", lambda x, y: (44, 10))
     with pytest.raises(ConsistencyError, match="bounds violated"):
         sweep(19, 19)
 

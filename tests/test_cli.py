@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sqdenom
-from sqdenom import analysis, cli, sigmacore
+from sqdenom import analysis, cli, confrac, sigmacore
 from sqdenom.cli import main
 from sqdenom.figures import heatmap_data
 
@@ -147,6 +147,33 @@ def test_heatmap_svg(capsys):
     assert out.startswith("<svg") and out.rstrip().endswith("</svg>")
 
 
+def test_heatmap_svg_refuses_coordinates_past_2_to_the_52(capsys):
+    # a float holds every half integer only below 2^52: past it the cell
+    # edges a +- 0.5 round together and the SVG frame would divide by zero;
+    # the CSV is exact at every a
+    refusal = "error: heatmap SVG needs a-max and s-max below 2^52; use --format csv\n"
+    for a_min, s_min in ((10**20, 2), (10**300, 2), (2**52 - 3, 2), (8, 10**20)):
+        argv = ("heatmap", "--a-min", str(a_min), "--a-max", str(a_min + 3),
+                "--s-min", str(s_min), "--s-max", str(s_min + 3))
+        assert run(capsys, *argv) == (2, "", refusal), argv
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert (code, err) == (0, "") and out.count("\n") == 17, argv
+    code, out, err = run(capsys, "heatmap", "--a-min", str(2**52 - 4), "--a-max", str(2**52 - 1),
+                         "--s-min", "2", "--s-max", "5")
+    assert (code, err) == (0, "") and out.startswith("<svg")
+
+
+def test_cf_refuses_a_period_over_the_cap(capsys, monkeypatch):
+    assert confrac.SQRT_CF_MAX_TERMS == 10**6  # the documented cap
+    # sqrt(7) = [2; (1, 1, 1, 4)] has a period of four terms
+    monkeypatch.setattr(confrac, "SQRT_CF_MAX_TERMS", 4)
+    assert run(capsys, "cf", "7") == (0, "[2; (1, 1, 1, 4)]\n", "")
+    monkeypatch.setattr(confrac, "SQRT_CF_MAX_TERMS", 3)
+    assert run(capsys, "cf", "7") == (2, "", "error: the period of sqrt(7) has over 3 terms\n")
+    assert run(capsys, "cf", "992") == (0, "[31; (2, 62)]\n", "")
+    assert run(capsys, "cf", "49") == (0, "[7]\n", "")
+
+
 def test_error_exit_codes(capsys, tmp_path):
     code, _, err = run(capsys, "sweep", "--from", "5", "--to", "2")
     assert code == 2 and err.startswith("error:")
@@ -273,11 +300,14 @@ def test_cli_import_loads_only_the_parser():
     (["sigma", "991"], ["sqdenom.analysis", "sqdenom.figures", "sqdenom.svg", "json", "csv"]),
     (["analyze", "kset", "--n", "2"], ["sqdenom.figures", "sqdenom.svg", "csv"]),
     (["sweep", "--from", "1", "--to", "3"],
-     ["sqdenom.figures", "sqdenom.svg", "csv", "json", "multiprocessing", "concurrent.futures"]),
+     ["sqdenom.figures", "sqdenom.svg", "csv", "json", "multiprocessing", "concurrent.futures",
+      "fractions"]),
     (["sweep", "--from", "1", "--to", "3", "--format", "json"],
-     ["sqdenom.figures", "sqdenom.svg", "csv", "json"]),
+     ["sqdenom.figures", "sqdenom.svg", "csv", "json", "fractions"]),
+    (["figures", "--out-dir", "{tmp}"], ["csv", "json", "fractions"]),
 ])
-def test_commands_load_only_what_they_use(argv, unused):
+def test_commands_load_only_what_they_use(argv, unused, tmp_path):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
     loaded = _modules_after("from sqdenom.cli import main", f"main({argv!r})")
     assert [m for m in unused if m in loaded] == []
 
@@ -443,15 +473,15 @@ def test_split_sweep_reaps_its_children_after_a_parent_failure(capsys, monkeypat
     # Ctrl-C in the parent while the children are still at work: they are
     # killed, not waited for
     parent = os.getpid()
-    sweep = analysis.sweep
+    rows = analysis._sweep_rows
 
     def interrupted(lo, hi):
         if os.getpid() == parent:
             raise KeyboardInterrupt
         time.sleep(30)
-        return sweep(lo, hi)
+        return rows(lo, hi)
 
-    monkeypatch.setattr(analysis, "sweep", interrupted)
+    monkeypatch.setattr(analysis, "_sweep_rows", interrupted)
     t0 = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
         main(["sweep", "--from", "1", "--to", "300"])
@@ -492,20 +522,21 @@ def test_split_sweep_stays_serial_when_it_cannot_fork(capsys, monkeypatch):
 def test_split_sweep_reports_a_child_that_sends_no_rows(capsys, monkeypatch):
     _split_three_ways(monkeypatch)
     parent = os.getpid()
-    sweep = analysis.sweep
+    rows = analysis._sweep_rows
 
     def dying(lo, hi):
         if os.getpid() != parent:
             os._exit(1)
-        return sweep(lo, hi)
+        return rows(lo, hi)
 
-    monkeypatch.setattr(analysis, "sweep", dying)
+    monkeypatch.setattr(analysis, "_sweep_rows", dying)
     code, out, err = run(capsys, "sweep", "--from", "1", "--to", "300")
     assert (code, out) == (3, "")
     assert err == "i/o error: sweep child for a=101..200 ended without its rows\n"
     assert _no_children_left()
     # an error the parent has no exit code for comes back as a RuntimeError
-    monkeypatch.setattr(analysis, "sweep", lambda lo, hi: sweep(lo, hi) if lo == 1 else 1 // 0)
+    monkeypatch.setattr(analysis, "_sweep_rows",
+                        lambda lo, hi: rows(lo, hi) if lo == 1 else 1 // 0)
     with pytest.raises(RuntimeError, match=r"a=101..200: ZeroDivisionError"):
         main(["sweep", "--from", "1", "--to", "300"])
     assert _no_children_left()

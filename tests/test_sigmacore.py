@@ -33,6 +33,12 @@ from conftest import (
 )
 
 
+def _curve_index(a, s):
+    """The closed-form curve index in a's frame, as decompose gives it."""
+    dc = decompose(a)
+    return sigmacore._curve_index(a, s, dc.n, dc.b + 1, dc.c)
+
+
 def test_decompose_examples():
     assert decompose(8) == Decomposition(8, 2, 4, 3, 1)
     assert decompose(19) == Decomposition(19, 4, 3, 5, 6)
@@ -268,7 +274,7 @@ def test_min_k_is_minimal():
 
 def test_min_k_matches_closed_form():
     for a in range(1, 20001):
-        assert min_k(a) == sigmacore._curve_index(a, sigma(a)), a
+        assert min_k(a) == _curve_index(a, sigma(a)), a
 
 
 def test_zero_windows_structure():
@@ -362,7 +368,7 @@ def test_closed_form_min_k_at_every_scale(a):
     # sigma_k strictly increases in k, so these two checks make k the least
     # index on the curve through sigma(a); min_k's walk is O(k)
     s = run_length_first_pair(a, a + 1)[1]
-    k = sigmacore._curve_index(a, s)
+    k = _curve_index(a, s)
     assert sigma_k(a, k) == s, a
     assert k == 1 or sigma_k(a, k - 1) < s, a
     if k <= 10**4:
@@ -414,8 +420,8 @@ def test_curve_index_raises_consistency_error_off_every_curve():
     # they give 2, 4, 6, so s = 2 and s = 3 miss them
     for a, s in ((2, 0), (2, 1), (10**200, 1), (1, 2), (2, 3)):
         with pytest.raises(sigmacore.ConsistencyError, match=f"no curve index k <= {s} "):
-            sigmacore._curve_index(a, s)
-    assert sigmacore._curve_index(2, 2) == 1
+            _curve_index(a, s)
+    assert _curve_index(2, 2) == 1
 
 
 def test_zero_windows_step_down_from_k_max(monkeypatch):
