@@ -18,11 +18,16 @@ from pathlib import Path
 
 from . import svg
 from .analysis import off_bound_points, sweep, write_csv
-from .sigmacore import sigma, sigma_k, tau_columns
+from .sigmacore import sigma_k, tau_columns
 
 __all__ = ["FIG5_K_VALUES", "generate_figures", "heatmap_data", "heatmap_svg", "heatmap_text"]
 
 FIG5_K_VALUES = tuple(range(1, 16)) + (18, 19, 22, 29, 40)
+
+# The most cells a heatmap computes.  The grid is held whole before its
+# text is written: a 1000 x 1000 grid peaked at about 250 MB RSS as SVG
+# and 57 MB as CSV, so the cells are counted before any column is built.
+HEATMAP_MAX_CELLS = 10**6
 
 LOWER_COLOR = "#1f77b4"  # blue
 UPPER_COLOR = "#d62728"  # red
@@ -112,10 +117,13 @@ def _heatmap_columns(mode: str, a_lo: int, a_hi: int, s_lo: int, s_hi: int):
         raise ValueError("need 1 <= a-min <= a-max")
     if s_lo < 1 or s_hi < s_lo:
         raise ValueError("need 1 <= s-min <= s-max")
+    if mode == "delta" and s_lo < 2:
+        raise ValueError("delta mode needs s-min >= 2")
+    cells = (a_hi - a_lo + 1) * (s_hi - s_lo + 1)
+    if cells > HEATMAP_MAX_CELLS:
+        raise ValueError(f"heatmap would hold {cells} cells, over the cap of {HEATMAP_MAX_CELLS}")
     if mode == "tau":
         return tau_columns(a_lo, a_hi, s_lo, s_hi)
-    if s_lo < 2:
-        raise ValueError("delta mode needs s-min >= 2")
     return [list(map(sub, col[1:], col)) for col in tau_columns(a_lo, a_hi, s_lo - 1, s_hi)]
 
 
@@ -183,7 +191,7 @@ def _fig_heatmap(out_dir: Path, name: str, mode: str, a_lo: int) -> None:
 
 def _fig5(out_dir: Path) -> None:
     a_lo, a_hi = 100 * 100, 101 * 101
-    values = [(a, sigma(a)) for a in range(a_lo, a_hi + 1)]
+    values = [(r.a, r.sigma) for r in sweep(a_lo, a_hi)]
     _write_csv(out_dir / "fig5.csv", ["a", "sigma"], values)
     curve_rows = []
     curves = []

@@ -248,12 +248,12 @@ def min_k(a: int, s: int | None = None) -> int:
     works out sigma_k's frame once (n, m, a + 1, b + 1, c) and then takes
     sigma_k's two floors per step, two isqrt calls on integer locals.
 
-    The walk is O(k) where _curve_index is two isqrt calls, and it stays on
-    purpose: it is the independent oracle for the closed form, and the
-    benchmark checks each min_k answer with an O(k) scan of its own, which
-    would never finish on the k of about 4*10^24 that the closed form
-    returns at a near 10^50 within the benchmark's time budget.
-    ROADMAP item 1's O(1) is_min_curve_index unblocks the switch.
+    The walk is O(k) where _curve_index is two isqrt calls.  No command
+    calls it: sweep rows, and so k_set and off_bound_points, take the
+    closed form.  It stays a walk on purpose: it is the independent oracle
+    for the closed form, and the benchmark's families query checks each
+    answer with an O(k) scan of its own, which would never finish on the k
+    of about 4*10^24 that the closed form returns at a near 10^50.
     """
     if s is None:
         s = sigma(a)

@@ -8,7 +8,8 @@ folded from the partial quotients of an expansion, a per-(a, k) scan
 for the first witness-count decrement, a per-k scan of the zero
 windows that compares every window's ends, plain and run-length
 Stern-Brocot descents for the first rational between two square roots,
-and a sweep row built value by value from the public point functions.
+a sweep row built value by value from the public point functions, and
+per-a off-bound and curve-index walks over sigma, sigma_lower and min_k.
 """
 
 from decimal import Decimal, localcontext
@@ -22,6 +23,8 @@ from sqdenom.sigmacore import (
     ConsistencyError,
     ZeroWindow,
     certified_first_pair,
+    min_k,
+    sigma,
     sigma_k,
     sigma_lower,
     sigma_upper,
@@ -228,3 +231,19 @@ def sweep_record(a):
     if not (k >= 1 and sigma_k(a, k) == s and (k == 1 or sigma_k(a, k - 1) < s)):
         raise ConsistencyError(f"no curve index k <= {s} matches sigma({a})")
     return SweepRecord(a, s, s1, upper, s == s1, k, t)
+
+
+def off_bound_points_walk(a_from, a_to):
+    """Oracle for off_bound_points: sigma(a) against sigma_lower(a), one
+    point call each per a."""
+    out = []
+    for a in range(a_from, a_to + 1):
+        s = sigma(a)
+        if s > sigma_lower(a):
+            out.append((a, s))
+    return out
+
+
+def k_set_walk(n):
+    """Oracle for k_set: min_k's O(k) walk for each n^2 < a < (n+1)^2."""
+    return {min_k(a) for a in range(n * n + 1, (n + 1) ** 2)}

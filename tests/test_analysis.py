@@ -27,7 +27,13 @@ from sqdenom.analysis import (
 )
 from sqdenom.sigmacore import ConsistencyError, min_k, sigma, sigma_k, sigma_upper, tau
 
-from conftest import cmp_int_vs_sum_sqrt, first_decrement, sweep_record
+from conftest import (
+    cmp_int_vs_sum_sqrt,
+    first_decrement,
+    k_set_walk,
+    off_bound_points_walk,
+    sweep_record,
+)
 
 
 def test_sweep_single_records():
@@ -177,8 +183,18 @@ def test_off_bound_points():
     pts = off_bound_points(1, 100)
     assert (54, 5) in pts and (57, 5) in pts
     assert all(a not in (8,) for a, _ in pts)
-    with pytest.raises(ValueError):
-        off_bound_points(0, 10)
+    for bad in [(0, 10), (5, 4)]:
+        with pytest.raises(ValueError, match="need 1 <= a_from <= a_to"):
+            off_bound_points(*bad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sweep_from, st.integers(min_value=1, max_value=40))
+@example(1, 2000)  # fig6's range
+@example(10**200 - 2, 4)  # across the square 10^200
+def test_off_bound_points_match_the_per_a_oracle(a_from, rows):
+    a_to = a_from + rows - 1
+    assert off_bound_points(a_from, a_to) == off_bound_points_walk(a_from, a_to)
 
 
 def test_offbound_peaks_frozen_window():
@@ -227,6 +243,11 @@ def test_k_set_minimal_is_subset_of_existential():
             assert ks == [min_k(a, s)], a
             existential.update(ks)
         assert k_set(n) == existential, n
+
+
+def test_k_set_matches_the_min_k_walk():
+    for n in (300, 1000):
+        assert k_set(n) == k_set_walk(n), n
 
 
 def test_k_set_validation():

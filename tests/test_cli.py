@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sqdenom
-from sqdenom import analysis, cli, confrac, sigmacore
+from sqdenom import analysis, cli, confrac, figures, sigmacore
 from sqdenom.cli import main
 from sqdenom.figures import heatmap_data
 
@@ -37,14 +37,25 @@ def test_sigma_command_large_a(capsys):
     assert code == 0 and out.endswith("(t=80000000014000000000, s=8000000001)\n")
 
 
-def test_consistency_failures_exit_four(capsys, monkeypatch):
+def test_consistency_failures_exit_four(capsys, monkeypatch, tmp_path):
+    # offbound, kset and every figure read certified sweep rows too
     with monkeypatch.context() as m:
         m.setattr(sigmacore, "first_pair_between", lambda x, y: (850, 28))
         for argv in (("sigma", "991"), ("first-square", "991"),
-                     ("sweep", "--from", "19", "--to", "19")):
+                     ("sweep", "--from", "19", "--to", "19"),
+                     ("analyze", "offbound", "--n-from", "7", "--n-to", "7"),
+                     ("analyze", "kset", "--n", "2"),
+                     ("figures", "--out-dir", str(tmp_path))):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (4, ""), argv
-            assert err.startswith("internal error:") and err.count("\n") == 1
+            assert err.startswith("internal error:") and err.count("\n") == 1, argv
+    # one bad a in fig5's range (100^2..101^2), or in fig6's alone (past 500)
+    for bad in (10050, 1999):
+        with monkeypatch.context() as m:
+            _fault_at(m, bad)
+            code, out, err = run(capsys, "figures", "--out-dir", str(tmp_path))
+        assert (code, out) == (4, ""), bad
+        assert err == f"internal error: sigma certificate failed at a={bad}: t=850 s=28\n"
     # a sigma on no curve leaves min_k without an index: at a = 2,
     # sigma_1 = 2 <= 3 <= 4 = upper passes the bounds check, but the curves
     # give 2, 4, 6 at k = 1, 2, 3
@@ -53,9 +64,9 @@ def test_consistency_failures_exit_four(capsys, monkeypatch):
         code, out, err = run(capsys, "sweep", "--from", "2", "--to", "2")
     assert (code, out) == (4, "")
     assert err.startswith("internal error: no curve index") and err.count("\n") == 1
-    # k_set takes each index from min_k and keeps the same guarantee; no
-    # curve reaches a sigma of 1, as sigma_k(a) >= k + 1
-    monkeypatch.setattr(sigmacore, "sigma", lambda a: 1)
+    # k_set reads the same rows and keeps the same guarantee: at a = 5,
+    # sigma_1 = 3 <= 4 <= 5 = upper passes, but the curves give 3, 5, 7
+    monkeypatch.setattr(analysis, "certified_first_pair", lambda a: (9, 4))
     code, out, err = run(capsys, "analyze", "kset", "--n", "2")
     assert (code, out) == (4, "")
     assert err.startswith("internal error: no curve index") and err.count("\n") == 1
@@ -161,6 +172,26 @@ def test_heatmap_svg_refuses_coordinates_past_2_to_the_52(capsys):
     code, out, err = run(capsys, "heatmap", "--a-min", str(2**52 - 4), "--a-max", str(2**52 - 1),
                          "--s-min", "2", "--s-max", "5")
     assert (code, err) == (0, "") and out.startswith("<svg")
+
+
+def test_heatmap_refuses_more_cells_than_the_cap(capsys, monkeypatch):
+    cap = figures.HEATMAP_MAX_CELLS
+    assert cap == 10**6  # the documented cap
+    # 99,993 a (8..100000) by 999 s (2..1000), counted before any column
+    refusal = f"error: heatmap would hold {99993 * 999} cells, over the cap of {cap}\n"
+    with monkeypatch.context() as m:
+        m.setattr(figures, "tau_columns", lambda *grid: pytest.fail("a column was built"))
+        for extra in ((), ("--format", "csv"), ("--mode", "delta")):
+            argv = ("heatmap", "--a-max", "100000", "--s-max", "1000", *extra)
+            assert run(capsys, *argv) == (2, "", refusal), argv
+    # at the cap a grid is drawn; one cell more is refused, in either mode
+    monkeypatch.setattr(figures, "HEATMAP_MAX_CELLS", 12)
+    refusal = "error: heatmap would hold 13 cells, over the cap of 12\n"
+    for mode in ("tau", "delta"):
+        grid = ("heatmap", "--mode", mode, "--a-min", "8", "--s-min", "2")
+        code, out, err = run(capsys, *grid, "--a-max", "10", "--s-max", "5", "--format", "csv")
+        assert (code, err) == (0, "") and out.count("\n") == 13, mode
+        assert run(capsys, *grid, "--a-max", "20", "--s-max", "2") == (2, "", refusal), mode
 
 
 def test_cf_refuses_a_period_over_the_cap(capsys, monkeypatch):
@@ -298,7 +329,11 @@ def test_cli_import_loads_only_the_parser():
 
 @pytest.mark.parametrize("argv, unused", [
     (["sigma", "991"], ["sqdenom.analysis", "sqdenom.figures", "sqdenom.svg", "json", "csv"]),
-    (["analyze", "kset", "--n", "2"], ["sqdenom.figures", "sqdenom.svg", "csv"]),
+    (["analyze", "kset", "--n", "2"], ["sqdenom.figures", "sqdenom.svg", "csv", "fractions"]),
+    (["analyze", "offbound", "--n-from", "7", "--n-to", "7"],
+     ["sqdenom.figures", "sqdenom.svg", "csv", "fractions"]),
+    (["analyze", "conjecture1", "--a-max", "20", "--k-max", "1"],
+     ["sqdenom.figures", "sqdenom.svg", "csv", "fractions"]),
     (["sweep", "--from", "1", "--to", "3"],
      ["sqdenom.figures", "sqdenom.svg", "csv", "json", "multiprocessing", "concurrent.futures",
       "fractions"]),
