@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 _SOURCES = {
     "analysis": (
         "SweepRecord",
-        "TauProfile",
         "conjecture1_search",
         "k_set",
         "off_bound_points",
@@ -27,7 +26,6 @@ _SOURCES = {
         "on_bound_fraction",
         "sweep",
         "symmetry_report",
-        "tau_profile",
         "upward_closure_check",
     ),
     "confrac": ("CFExpansion", "first_rational_between", "sqrt_cf"),

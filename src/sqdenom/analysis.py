@@ -18,17 +18,21 @@ from .sigmacore import (
     _top_floor,
     certified_first_pair,
     sigma,
+    sigma_upper,
     tau,
 )
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
+# The most findings a conjecture1_search table holds: k_max slots for each
+# 2 <= a <= a_max.  A slot list is built before its a is scanned, and
+# k_max = 10^12 ran out of memory at once, so the count comes first.
+CONJECTURE1_MAX_FINDINGS = 10**6
+
 __all__ = [
     "SweepRecord",
-    "TauProfile",
     "sweep",
-    "tau_profile",
     "on_bound_fraction",
     "symmetry_report",
     "off_bound_points",
@@ -50,28 +54,6 @@ class SweepRecord(NamedTuple):
     on_bound: bool
     min_k: int
     t_first: int
-
-
-class TauProfile(NamedTuple):
-    """tau(a, s) for s = 1..s_max, as tau_profile checked it."""
-
-    a: int
-    counts: tuple[int, ...]
-
-
-def tau_profile(a: int, s_max: int) -> TauProfile:
-    """tau(a, s) for s = 1..s_max, checked to step by at most 1 and to enter at 1.
-
-    The count before s = 1 is taken as 0, so a first positive count above 1
-    is a jump of at least 2, and the step check alone covers the entry.
-    """
-    if s_max < 1:
-        raise ValueError("s_max must be >= 1")
-    counts = tuple(tau(a, s) for s in range(1, s_max + 1))
-    for s, (prev, cur) in enumerate(zip((0,) + counts, counts), start=1):
-        if abs(cur - prev) > 1:
-            raise ValueError(f"tau jump at a={a}, s={s}")
-    return TauProfile(a, counts)
 
 
 def _sweep_rows(a_from: int, a_to: int):
@@ -223,14 +205,19 @@ def k_set(n: int) -> set[int]:
     return {row[5] for row in _sweep_rows(n * n + 1, (n + 1) ** 2 - 1)}
 
 
-def _tau_decrements(a: int, s_max: int):
-    """Yield (s, k) for each s <= s_max with tau(a, s) = k, tau(a, s+1) = k-1.
+def _tau_decrements(a: int, s_max: int, k_max: int):
+    """Yield (s, k) for each s <= s_max with tau(a, s) = k, tau(a, s+1) = k-1:
+    every such s for k <= k_max, and those below the scan's end for larger k.
 
-    tau steps by at most 1, so every fall is a fall by exactly 1.  The
-    count is carried forward: one tau call per s, s_max + 1 in all.
+    tau steps by at most 1, so every fall is a fall by exactly 1.  tau(a, s+1)
+    counts the integers in an open interval of length (s+1)*(sqrt(a+1) -
+    sqrt(a)), so it is at least ceil of that length minus 1, and a fall from
+    k at s needs s + 1 < k*(sqrt(a) + sqrt(a+1)), that is s <=
+    k*sigma_upper(a) - 2: the scan ends there for k = k_max, or at s_max.
+    The count is carried forward, one tau call per s.
     """
     prev = tau(a, 1)
-    for s in range(1, s_max + 1):
+    for s in range(1, min(s_max, k_max * sigma_upper(a) - 2) + 1):
         cur = tau(a, s + 1)
         if cur < prev:
             yield s, prev
@@ -244,7 +231,10 @@ def conjecture1_search(a_max: int, k_max: int, s_max: int) -> dict[int, list[int
     tau(a, s+1) = k-1, or None when there is none.  a = n^2 and n^2 - 1
     are left out: their tau profiles are nondecreasing, so no decrement
     step exists there.  Each a gets one tau scan over s, which ends once
-    every k has its witness.
+    every k has its witness, and never passes k_max*sigma_upper(a) - 2,
+    past which no fall from k <= k_max exists (_tau_decrements).  A table
+    of more than CONJECTURE1_MAX_FINDINGS findings, counted as
+    (a_max - 1)*k_max, is refused before any scan.
     """
     if a_max < 2:
         raise ValueError("a_max must be >= 2")
@@ -252,12 +242,16 @@ def conjecture1_search(a_max: int, k_max: int, s_max: int) -> dict[int, list[int
         raise ValueError("k_max must be >= 1")
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
+    count = (a_max - 1) * k_max
+    if count > CONJECTURE1_MAX_FINDINGS:
+        raise ValueError(
+            f"conjecture1 would hold {count} findings, over the cap of {CONJECTURE1_MAX_FINDINGS}")
     found: dict[int, list[int | None]] = {}
     for a in range(2, a_max + 1):
         if is_perfect_square(a) is not None or is_perfect_square(a + 1) is not None:
             continue
         first: list[int | None] = [None] * k_max
-        for s, k in _tau_decrements(a, s_max):
+        for s, k in _tau_decrements(a, s_max, k_max):
             if k <= k_max and first[k - 1] is None:
                 first[k - 1] = s
                 if None not in first:
@@ -268,9 +262,10 @@ def conjecture1_search(a_max: int, k_max: int, s_max: int) -> dict[int, list[int
 
 def upward_closure_check(a: int, s_max: int) -> list[int]:
     """All s <= s_max where tau(a, s) > 0 but tau(a, s+1) = 0: the
-    decrements from 1 to 0."""
+    decrements from 1 to 0, none of them past sigma_upper(a) - 2, where
+    the scan stops (_tau_decrements)."""
     if a < 1:
         raise ValueError("a must be >= 1")
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
-    return [s for s, k in _tau_decrements(a, s_max) if k == 1]
+    return [s for s, k in _tau_decrements(a, s_max, 1) if k == 1]

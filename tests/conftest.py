@@ -8,14 +8,16 @@ folded from the partial quotients of an expansion, a per-(a, k) scan
 for the first witness-count decrement, a per-k scan of the zero
 windows that compares every window's ends, plain and run-length
 Stern-Brocot descents for the first rational between two square roots,
-a sweep row built value by value from the public point functions, and
-per-a off-bound and curve-index walks over sigma, sigma_lower and min_k.
+a sweep row built value by value from the public point functions,
+per-a off-bound and curve-index walks over sigma, sigma_lower and min_k,
+and a checked tau profile over s.
 """
 
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import cycle, islice
 from math import isqrt
+from typing import NamedTuple
 
 from sqdenom.analysis import SweepRecord
 from sqdenom.exactmath import Surd, surd_cmp
@@ -28,6 +30,7 @@ from sqdenom.sigmacore import (
     sigma_k,
     sigma_lower,
     sigma_upper,
+    tau,
 )
 
 
@@ -247,3 +250,25 @@ def off_bound_points_walk(a_from, a_to):
 def k_set_walk(n):
     """Oracle for k_set: min_k's O(k) walk for each n^2 < a < (n+1)^2."""
     return {min_k(a) for a in range(n * n + 1, (n + 1) ** 2)}
+
+
+class TauProfile(NamedTuple):
+    """tau(a, s) for s = 1..s_max, as tau_profile checked it."""
+
+    a: int
+    counts: tuple[int, ...]
+
+
+def tau_profile(a, s_max):
+    """tau(a, s) for s = 1..s_max, checked to step by at most 1 and to enter at 1.
+
+    The count before s = 1 is taken as 0, so a first positive count above 1
+    is a jump of at least 2, and the step check alone covers the entry.
+    """
+    if s_max < 1:
+        raise ValueError("s_max must be >= 1")
+    counts = tuple(tau(a, s) for s in range(1, s_max + 1))
+    for s, (prev, cur) in enumerate(zip((0,) + counts, counts), start=1):
+        if abs(cur - prev) > 1:
+            raise ValueError(f"tau jump at a={a}, s={s}")
+    return TauProfile(a, counts)

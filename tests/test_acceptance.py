@@ -31,9 +31,7 @@ from sqdenom import (
     t_set,
     tau,
 )
-from sqdenom.analysis import tau_profile
-
-from conftest import brute_first_rational, tau_brute
+from conftest import brute_first_rational, tau_brute, tau_profile
 
 
 def _verdict(capsys, num, ok, detail):

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from sqdenom import analysis, cli, sigmacore
 from sqdenom.analysis import (
     SweepRecord,
-    TauProfile,
     conjecture1_search,
     k_set,
     off_bound_points,
@@ -21,18 +20,20 @@ from sqdenom.analysis import (
     on_bound_fraction,
     sweep,
     symmetry_report,
-    tau_profile,
     upward_closure_check,
     write_csv,
 )
 from sqdenom.sigmacore import ConsistencyError, min_k, sigma, sigma_k, sigma_upper, tau
 
+import conftest
 from conftest import (
+    TauProfile,
     cmp_int_vs_sum_sqrt,
     first_decrement,
     k_set_walk,
     off_bound_points_walk,
     sweep_record,
+    tau_profile,
 )
 
 
@@ -131,11 +132,11 @@ def test_tau_profile_shape(monkeypatch):
     with pytest.raises(ValueError):
         tau_profile(8, 0)
     # a jump of two in one step is impossible
-    monkeypatch.setattr(analysis, "tau", lambda a, s: (0, 0, 2)[s - 1])
+    monkeypatch.setattr(conftest, "tau", lambda a, s: (0, 0, 2)[s - 1])
     with pytest.raises(ValueError):
         tau_profile(99, 3)
     # counts may fall back to zero and re-enter, always through one
-    monkeypatch.setattr(analysis, "tau", lambda a, s: (0, 1, 0, 1, 2, 1)[s - 1])
+    monkeypatch.setattr(conftest, "tau", lambda a, s: (0, 1, 0, 1, 2, 1)[s - 1])
     assert tau_profile(99, 6) == TauProfile(99, (0, 1, 0, 1, 2, 1))
 
 
@@ -312,3 +313,62 @@ def test_tau_decrements_stay_below_the_bound():
                     assert s <= upper - 2, (a, s)
                 if 2 <= a <= 300 and k <= 4:
                     assert cmp_int_vs_sum_sqrt(s + 1, k, a) == -1, (a, s, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.one_of(st.integers(2, 300), st.integers(301, 10**5)),
+       k_max=st.integers(1, 5), past=st.integers(0, 300))
+@example(a=19, k_max=4, past=0)  # s_max is the conjecture1 scan's own bound plus 2
+@example(a=12, k_max=1, past=0)
+def test_decrement_scans_stop_at_the_bound(a, k_max, past):
+    # s_max is drawn past k_max*sigma_upper(a) - 2, where the bounded scans
+    # stop; they still give the per-k oracle's and the unbounded scan's answers
+    s_max = k_max * sigma_upper(a) + past
+    unbounded = [(s, tau(a, s)) for s in range(1, s_max + 1) if tau(a, s + 1) < tau(a, s)]
+    assert upward_closure_check(a, s_max) == [s for s, k in unbounded if k == 1]
+    if a > 300:
+        return  # conjecture1_search scans every a' <= a
+    found = conjecture1_search(a, k_max, s_max)
+    if isqrt(a) ** 2 == a or isqrt(a + 1) ** 2 == a + 1:
+        assert a not in found
+        return
+    ks = range(1, k_max + 1)
+    assert found[a] == [first_decrement(a, k, s_max) for k in ks]
+    assert found[a] == [next((s for s, j in unbounded if j == k), None) for k in ks]
+
+
+def test_decrement_scans_cost_the_bound_not_s_max(monkeypatch):
+    # each scan asks tau for s up to its bound + 1, however far s_max goes
+    scanned = {}
+    count = analysis.tau
+
+    def counted(a, s):
+        if s > 10**4:
+            pytest.fail(f"tau scanned to s={s}")
+        scanned[a] = max(s, scanned.get(a, 0))
+        return count(a, s)
+
+    monkeypatch.setattr(analysis, "tau", counted)
+    assert upward_closure_check(5, 10**12) == upward_closure_check(5, 100)
+    assert scanned == {5: sigma_upper(5) - 1}
+    scanned.clear()
+    assert conjecture1_search(30, 4, 10**12) == conjecture1_search(30, 4, 10**4)
+    assert all(s <= 4 * sigma_upper(a) - 1 for a, s in scanned.items())
+    # a = 26 = 5^2 + 1 has no witness at all, so its scan runs to the bound
+    assert scanned[26] == 4 * sigma_upper(26) - 1
+
+
+def test_conjecture1_search_refuses_a_table_over_the_cap(monkeypatch):
+    assert analysis.CONJECTURE1_MAX_FINDINGS == 10**6  # the documented cap
+    # (a_max - 1)*k_max is counted before any table slot or tau scan
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "tau", lambda a, s: pytest.fail("scanned"))
+        with pytest.raises(ValueError, match=r"^conjecture1 would hold 2000000000000 findings, "
+                                             r"over the cap of 1000000$"):
+            conjecture1_search(3, 10**12, 5)
+    # at the cap a table is built; one finding more is refused
+    monkeypatch.setattr(analysis, "CONJECTURE1_MAX_FINDINGS", 12)
+    assert conjecture1_search(5, 3, 10) == {2: [None, None, 7], 5: [None, None, None]}
+    for a_max, k_max in ((5, 4), (14, 1), (2, 13)):
+        with pytest.raises(ValueError, match="over the cap of 12"):
+            conjecture1_search(a_max, k_max, 10)

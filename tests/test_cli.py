@@ -5,6 +5,7 @@ import csv
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -372,6 +373,14 @@ def test_analyze_conjecture1_rejects_empty_search(capsys, tmp_path):
     assert not target.exists()
 
 
+def test_analyze_conjecture1_refuses_an_oversized_table(capsys, monkeypatch):
+    # a table of 10^12 slots an a is refused by its count, with no scan
+    monkeypatch.setattr(analysis, "tau", lambda a, s: pytest.fail("scanned"))
+    argv = ("analyze", "conjecture1", "--a-max", "3", "--k-max", str(10**12), "--s-max", "5")
+    refusal = "error: conjecture1 would hold 2000000000000 findings, over the cap of 1000000\n"
+    assert run(capsys, *argv) == (2, "", refusal)
+
+
 def test_analyze_offbound(capsys):
     code, out, _ = run(capsys, "analyze", "offbound", "--n-from", "7", "--n-to", "8")
     assert code == 0
@@ -554,7 +563,24 @@ def test_split_sweep_stays_serial_when_it_cannot_fork(capsys, monkeypatch):
             assert cli._allowed_cpus() == 1
 
 
+def test_split_sweep_takes_every_later_block_from_its_child(capsys, monkeypatch):
+    # the parent formats block 0 alone: a fork path that never delivered
+    # would show here, though the fallback keeps the bytes right
+    serial = run(capsys, *JSON_300)
+    forks = _split_three_ways(monkeypatch)
+    block_text = cli._block_text
+    calls = []
+    monkeypatch.setattr(cli, "_block_text",
+                        lambda lo, hi, fmt: calls.append((lo, hi)) or block_text(lo, hi, fmt))
+    assert run(capsys, *JSON_300) == serial
+    assert calls == [(1, 100)] and len(forks) == 2
+    assert _no_children_left()
+
+
 def test_split_sweep_reports_a_child_that_sends_no_rows(capsys, monkeypatch):
+    # a child that sends no whole payload costs its block's time, not the
+    # command: the parent formats that block itself, as a serial run does
+    serial = run(capsys, "sweep", "--from", "1", "--to", "300")
     _split_three_ways(monkeypatch)
     parent = os.getpid()
     rows = analysis._sweep_rows
@@ -565,15 +591,58 @@ def test_split_sweep_reports_a_child_that_sends_no_rows(capsys, monkeypatch):
         return rows(lo, hi)
 
     monkeypatch.setattr(analysis, "_sweep_rows", dying)
-    code, out, err = run(capsys, "sweep", "--from", "1", "--to", "300")
-    assert (code, out) == (3, "")
-    assert err == "i/o error: sweep child for a=101..200 ended without its rows\n"
+    assert run(capsys, "sweep", "--from", "1", "--to", "300") == serial
     assert _no_children_left()
-    # an error the parent has no exit code for comes back as a RuntimeError
-    monkeypatch.setattr(analysis, "_sweep_rows",
-                        lambda lo, hi: rows(lo, hi) if lo == 1 else 1 // 0)
-    with pytest.raises(RuntimeError, match=r"a=101..200: ZeroDivisionError"):
+    # an error in a child is the serial run's error, raised by the parent
+    def failing(lo, hi):
+        return 1 // 0 if lo <= 150 <= hi else rows(lo, hi)
+
+    monkeypatch.setattr(analysis, "_sweep_rows", failing)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_allowed_cpus", lambda: 1)
+        with pytest.raises(ZeroDivisionError) as serial_error:
+            main(["sweep", "--from", "1", "--to", "300"])
+    with pytest.raises(ZeroDivisionError) as split_error:
         main(["sweep", "--from", "1", "--to", "300"])
+    assert str(split_error.value) == str(serial_error.value)
+    assert _no_children_left()
+
+
+def test_split_sweep_formats_the_block_of_a_child_killed_mid_write(capsys, monkeypatch):
+    serial = run(capsys, *JSON_300)
+    _split_three_ways(monkeypatch)
+    parent = os.getpid()
+    statuses = []
+    waitpid = os.waitpid
+
+    class KilledMidWrite:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def write(self, payload):
+            # a few KB, so the pipe takes the half at once
+            os.write(self.fd, payload[:len(payload) // 2])
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    def child_open(fd, mode="r", **kwargs):
+        if os.getpid() != parent:
+            return KilledMidWrite(fd)
+        return open(fd, mode, **kwargs)
+
+    monkeypatch.setattr(cli, "open", child_open, raising=False)
+    monkeypatch.setattr(os, "waitpid",
+                        lambda pid, options: statuses.append(waitpid(pid, options)) or statuses[-1])
+    assert run(capsys, *JSON_300) == serial
+    assert len(statuses) == 2
+    assert all(os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+               for _, status in statuses)
+    monkeypatch.undo()
     assert _no_children_left()
 
 
