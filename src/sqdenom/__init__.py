@@ -29,7 +29,7 @@ _SOURCES = {
         "upward_closure_check",
     ),
     "confrac": ("CFExpansion", "first_rational_between", "sqrt_cf"),
-    "exactmath": ("Surd", "floor_surd", "is_perfect_square", "isqrt", "surd_cmp"),
+    "exactmath": ("Surd", "is_perfect_square", "isqrt", "surd_cmp"),
     "figures": ("FIG5_K_VALUES", "generate_figures", "heatmap_data", "heatmap_svg"),
     "sigmacore": (
         "Decomposition",
@@ -39,9 +39,7 @@ _SOURCES = {
         "on_bound_criterion",
         "sigma",
         "sigma_k",
-        "sigma_l",
         "sigma_lower",
-        "sigma_r",
         "sigma_upper",
         "t_set",
         "tau",

@@ -30,6 +30,11 @@ if TYPE_CHECKING:
 # k_max = 10^12 ran out of memory at once, so the count comes first.
 CONJECTURE1_MAX_FINDINGS = 10**6
 
+# The most sigma pairs a symmetry_report compares, two sigma calls each.
+# --full-range gives trough n about n^2 of them, so --n-max 10^6 would
+# run for hours; the count comes before any sigma call.
+SYMMETRY_MAX_COMPARISONS = 10**6
+
 __all__ = [
     "SweepRecord",
     "sweep",
@@ -98,21 +103,6 @@ def sweep(a_from: int, a_to: int) -> list[SweepRecord]:
     return list(map(SweepRecord._make, _sweep_rows(a_from, a_to)))
 
 
-def write_csv(fh, header, rows) -> None:
-    """Write header and rows in the one CSV dialect of every output.
-
-    Every field of every row is an int, and a bool is written as 1/0; each
-    row is a tuple as long as the header.  No such field needs quoting, so
-    a header line and one "%d,...,%d" line per row are the bytes that
-    csv.writer(fh, lineterminator="\\n") writes for the same rows.
-    """
-    line = ",".join(["%d"] * len(header)) + "\n"
-    write = fh.write
-    write(",".join(header) + "\n")
-    for row in rows:
-        write(line % row)
-
-
 def on_bound_fraction(a_from: int, a_to: int) -> Fraction:
     """Exact share of a in [a_from, a_to] with sigma(a) = sigma_1(a).
 
@@ -135,7 +125,10 @@ def symmetry_report(
     Trough n compares sigma(n(n+1) - d) with sigma(n(n+1) + d) for
     1 <= d <= min(d_max, n), which keeps both arguments between n^2 and
     (n+1)^2; d_max defaults to n.  full_range runs d to n(n+1) - 1
-    instead, crossing square spikes, and so excludes d_max.
+    instead, crossing square spikes, and so excludes d_max.  More than
+    SYMMETRY_MAX_COMPARISONS comparisons are refused before any sigma call:
+    first by the trough count, as each trough makes at least one, then by
+    the sum of the troughs' spans.
     """
     if n_min < 2 or n_max < n_min:
         raise ValueError("need 2 <= n_min <= n_max")
@@ -143,24 +136,34 @@ def symmetry_report(
         raise ValueError("d_max and full_range exclude each other")
     if d_max is not None and d_max < 1:
         raise ValueError("d_max must be >= 1")
+    cap = SYMMETRY_MAX_COMPARISONS
+    troughs = n_max - n_min + 1
+    if troughs > cap:
+        raise ValueError(
+            f"symmetry would make at least {troughs} comparisons, over the cap of {cap}")
+
+    def span(n):
+        if full_range:
+            return n * (n + 1) - 1
+        return n if d_max is None else min(d_max, n)
+
+    count = sum(map(span, range(n_min, n_max + 1)))
+    if count > cap:
+        raise ValueError(f"symmetry would make {count} comparisons, over the cap of {cap}")
     from fractions import Fraction
     per_n = []
-    hits = total = 0
+    hits = 0
     for n in range(n_min, n_max + 1):
         center = n * (n + 1)
-        if full_range:
-            dm = center - 1
-        else:
-            dm = n if d_max is None else min(d_max, n)
+        dm = span(n)
         h = sum(1 for d in range(1, dm + 1) if sigma(center - d) == sigma(center + d))
         per_n.append({"n": n, "center": center, "matches": h, "comparisons": dm})
         hits += h
-        total += dm
     return {
         "per_n": per_n,
-        "aggregate": Fraction(hits, total),
+        "aggregate": Fraction(hits, count),
         "matches": hits,
-        "comparisons": total,
+        "comparisons": count,
     }
 
 

@@ -118,7 +118,7 @@ _JSON_ROW = ('  {\n    "a": %d,\n    "min_k": %d,\n    "on_bound": %s,\n    "sig
 
 
 def _block_text(lo: int, hi: int, fmt: str) -> str:
-    """Rows lo..hi as text straight from their tuples: write_csv's lines
+    """Rows lo..hi as text straight from their tuples: figures.write_csv's lines
     without the header, or the JSON objects without the enclosing "[\n", "\n]"."""
     from .analysis import _sweep_rows
 

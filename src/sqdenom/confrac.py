@@ -124,7 +124,7 @@ def first_pair_between(x_radicand: int, y_radicand: int) -> tuple[int, int]:
     # convergent recurrence seeds: t_{-2}/s_{-2} = 0/1, t_{-1}/s_{-1} = 1/0
     t0, s0, t1, s1 = 0, 1, 1, 0
     while True:
-        fl = (lp + lu) // lr  # as in floor_surd: no integer in (p + u, p + sqrt(d)]
+        fl = (lp + lu) // lr  # exact floor: no integer in (p + u, p + sqrt(d)]
         # hi - fl = (ph + sqrt(hd))/hr, and fl + 1 lies below hi iff
         # k + sqrt(hd) > 0 with k = ph - hr: the exact sign test of
         # exactmath._sign_linear(k, 1, hd), written out

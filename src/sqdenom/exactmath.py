@@ -3,9 +3,9 @@
 Every decision made by this library reduces to integer comparisons; no
 floating point is consulted anywhere.  The central value type is Surd, an
 exact (p + q*sqrt(d))/r with q >= 0 and r >= 1; every Surd is finite.  A
-Surd keeps the form it was built with: comparisons and floors work on the
-value, so equal values written in different forms compare equal, and it
-defines __eq__ without __hash__, so it is unhashable.  Ordering two surds
+Surd keeps the form it was built with: comparisons work on the value, so
+equal values written in different forms compare equal, and it defines
+__eq__ without __hash__, so it is unhashable.  Ordering two surds
 is resolved by isolate-and-square steps with explicit sign bookkeeping,
 which stays exact because at most two distinct radicals ever meet in one
 comparison.
@@ -20,7 +20,6 @@ __all__ = [
     "isqrt",
     "is_perfect_square",
     "Surd",
-    "floor_surd",
     "surd_cmp",
 ]
 
@@ -38,7 +37,7 @@ class Surd:
     """Exact (p + q*sqrt(d))/r with q >= 0, r >= 1.
 
     The form is stored as given (a zero q or d stores both as 0); nothing
-    is reduced, because comparisons and floors act on the value alone.
+    is reduced, because comparisons act on the value alone.
     """
 
     __slots__ = ("p", "q", "d", "r")
@@ -71,17 +70,6 @@ class Surd:
         if self.q == 0:
             return f"Surd({self.p}/{self.r})" if self.r != 1 else f"Surd({self.p})"
         return f"Surd(({self.p}+{self.q}*sqrt({self.d}))/{self.r})"
-
-
-def floor_surd(x: Surd) -> int:
-    """floor((p + q*sqrt(d))/r), computed exactly.
-
-    With u = isqrt(q*q*d) write the value as (p + u + theta)/r for some
-    theta in [0, 1).  p + u is an integer and the interval (p+u, p+u+theta]
-    contains no integer, hence no multiple of r either, so the floor equals
-    (p + u) // r.
-    """
-    return (x.p + isqrt(x.q * x.q * x.d)) // x.r
 
 
 def _sgn(n: int) -> int:

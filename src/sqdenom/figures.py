@@ -17,7 +17,7 @@ from operator import sub
 from pathlib import Path
 
 from . import svg
-from .analysis import off_bound_points, sweep, write_csv
+from .analysis import sweep
 from .sigmacore import sigma_k, tau_columns
 
 __all__ = ["FIG5_K_VALUES", "generate_figures", "heatmap_data", "heatmap_svg", "heatmap_text"]
@@ -36,6 +36,21 @@ _CURVE_COLORS = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
     "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
 )
+
+
+def write_csv(fh, header, rows) -> None:
+    """Write header and rows in the one CSV dialect of every output.
+
+    Every field of every row is an int, and a bool is written as 1/0; each
+    row is a tuple as long as the header.  No such field needs quoting, so
+    a header line and one "%d,...,%d" line per row are the bytes that
+    csv.writer(fh, lineterminator="\\n") writes for the same rows.
+    """
+    line = ",".join(["%d"] * len(header)) + "\n"
+    write = fh.write
+    write(",".join(header) + "\n")
+    for row in rows:
+        write(line % row)
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -75,8 +90,7 @@ def _gray(level: float) -> str:
 _TAU_FILLS = tuple(_gray(v / 10) for v in range(11))
 
 
-def _fig12(out_dir: Path) -> None:
-    records = sweep(1, 500)
+def _fig12(out_dir: Path, records) -> None:
     points = [(r.a, r.sigma) for r in records]
     _write_csv(out_dir / "fig1.csv", ["a", "sigma"], points)
     (out_dir / "fig1.svg").write_text(_scatter_sigma("sigma(a) for 1 <= a <= 500", points))
@@ -209,8 +223,8 @@ def _fig5(out_dir: Path) -> None:
     )
 
 
-def _fig6(out_dir: Path) -> None:
-    points = off_bound_points(1, 2000)
+def _fig6(out_dir: Path, records) -> None:
+    points = [(r.a, r.sigma) for r in records if not r.on_bound]
     _write_csv(out_dir / "fig6.csv", ["a", "sigma"], points)
     (out_dir / "fig6.svg").write_text(
         _scatter_sigma("off-bound sigma(a) for 1 <= a <= 2000", points)
@@ -221,11 +235,12 @@ def generate_figures(out_dir) -> list[Path]:
     """Write fig1..fig6 SVG + CSV into out_dir; returns the paths written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _fig12(out)
+    records = sweep(1, 2000)  # fig1 and fig2 read its first 500 rows, fig6 all
+    _fig12(out, records[:500])
     _fig_heatmap(out, "fig3", "tau", 8)
     _fig_heatmap(out, "fig4", "delta", 1)
     _fig5(out)
-    _fig6(out)
+    _fig6(out, records)
     names = [
         "fig1.svg", "fig1.csv", "fig2.svg", "fig2.csv",
         "fig3.svg", "fig3.csv", "fig4.svg", "fig4.csv",

@@ -38,8 +38,6 @@ __all__ = [
     "t_set",
     "sigma",
     "certified_first_pair",
-    "sigma_l",
-    "sigma_r",
     "sigma_k",
     "sigma_lower",
     "sigma_upper",
@@ -135,18 +133,6 @@ def t_set(a: int, s: int) -> list[int]:
     return list(range(isqrt(s * s * a) + 1, isqrt(s * s * (a + 1) - 1) + 1))
 
 
-def sigma_l(a: int) -> Surd:
-    """(n + sqrt(a+1)) / (b+1): left crowding threshold, always finite."""
-    dc = decompose(a)
-    return Surd(dc.n, 1, a + 1, dc.b + 1)
-
-
-def sigma_r(a: int) -> Surd:
-    """(m + sqrt(a)) / c: right crowding threshold, always finite."""
-    dc = decompose(a)
-    return Surd(dc.m, 1, a, dc.c)
-
-
 def _top_floor(k: int, n: int, root: int, root1: int, b1: int, c: int) -> int:
     """sigma_k(a) - 1 in a's frame, the larger of (k*n + root1)//(b+1) and
     (k*m + root)//c with root = isqrt(k^2*a), root1 = isqrt(k^2*(a+1)),
@@ -160,8 +146,8 @@ def sigma_k(a: int, k: int) -> int:
     """floor(max(k*sigma_l(a), k*sigma_r(a))) + 1, in pure integers.
 
     floor((k*n + k*sqrt(a+1))/(b+1)) equals (k*n + isqrt(k^2*(a+1)))//(b+1)
-    because no integer fits between the exact numerator and its floor (same
-    argument as floor_surd); likewise on the right.
+    because no integer, so no multiple of b+1, fits between the exact
+    numerator and its floor; likewise on the right.
 
     Strictly increasing in k, by at least 1 per step, because
     M = max(sigma_l, sigma_r) >= 1 for every a >= 0: then
@@ -245,8 +231,8 @@ def min_k(a: int, s: int | None = None) -> int:
 
     sigma_k strictly increases in k (see sigma_k), so the first match is the
     only one, and sigma_k >= k+1 bounds the walk by sigma(a).  The walk
-    works out sigma_k's frame once (n, m, a + 1, b + 1, c) and then takes
-    sigma_k's two floors per step, two isqrt calls on integer locals.
+    works out sigma_k's frame once (n, a + 1, b + 1, c) and then takes
+    sigma_k's two floors per step through _top_floor, two isqrt calls.
 
     The walk is O(k) where _curve_index is two isqrt calls.  No command
     calls it: sweep rows, and so k_set and off_bound_points, take the
@@ -260,16 +246,13 @@ def min_k(a: int, s: int | None = None) -> int:
     elif a < 0:
         raise ValueError("a must be >= 0")
     n = isqrt(a)
-    m = n + 1
     a1 = a + 1
     b1 = a1 - n * n
-    c = m * m - a
+    c = (n + 1) ** 2 - a
     j = s - 1  # sigma_k(a) = s iff the larger floor is s - 1
     for k in range(1, s + 1):
         kk = k * k
-        left = (k * n + isqrt(kk * a1)) // b1
-        right = (k * m + isqrt(kk * a)) // c
-        if (left if left > right else right) == j:
+        if _top_floor(k, n, isqrt(kk * a), isqrt(kk * a1), b1, c) == j:
             return k
     raise ConsistencyError(f"no curve index k <= {s} matches sigma({a})")
 

@@ -10,7 +10,8 @@ windows that compares every window's ends, plain and run-length
 Stern-Brocot descents for the first rational between two square roots,
 a sweep row built value by value from the public point functions,
 per-a off-bound and curve-index walks over sigma, sigma_lower and min_k,
-and a checked tau profile over s.
+a checked tau profile over s, and the bounding curves sigma_l and sigma_r
+as exact surds with the surd floor that sigma_k is checked against.
 """
 
 from decimal import Decimal, localcontext
@@ -272,3 +273,26 @@ def tau_profile(a, s_max):
         if abs(cur - prev) > 1:
             raise ValueError(f"tau jump at a={a}, s={s}")
     return TauProfile(a, counts)
+
+
+def floor_surd(x):
+    """floor((p + q*sqrt(d))/r), computed exactly.
+
+    With u = isqrt(q*q*d) write the value as (p + u + theta)/r for some
+    theta in [0, 1).  p + u is an integer and the interval (p+u, p+u+theta]
+    contains no integer, hence no multiple of r either, so the floor equals
+    (p + u) // r.
+    """
+    return (x.p + isqrt(x.q * x.q * x.d)) // x.r
+
+
+def sigma_l(a):
+    """(n + sqrt(a+1)) / (b+1): the left crowding threshold, always finite."""
+    n = isqrt(a)
+    return Surd(n, 1, a + 1, a - n * n + 1)
+
+
+def sigma_r(a):
+    """(m + sqrt(a)) / c: the right crowding threshold, always finite."""
+    m = isqrt(a) + 1
+    return Surd(m, 1, a, m * m - a)

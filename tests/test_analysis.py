@@ -21,8 +21,8 @@ from sqdenom.analysis import (
     sweep,
     symmetry_report,
     upward_closure_check,
-    write_csv,
 )
+from sqdenom.figures import write_csv
 from sqdenom.sigmacore import ConsistencyError, min_k, sigma, sigma_k, sigma_upper, tau
 
 import conftest
@@ -169,6 +169,38 @@ def test_symmetry_report_aggregate():
     assert first["n"] == 2 and first["center"] == 6 and first["comparisons"] == 2
     # offsets are clipped to the trough radius
     assert all(e["comparisons"] == e["n"] for e in rep["per_n"])
+
+
+def test_symmetry_report_refuses_more_comparisons_than_the_cap(monkeypatch):
+    assert analysis.SYMMETRY_MAX_COMPARISONS == 10**6  # the documented cap
+    n = 10**6
+    full = n * (n + 1) * (2 * n + 1) // 6 + n * (n + 1) // 2 - n - 1  # sum of n(n+1) - 1 over 2..n
+    with monkeypatch.context() as m:
+        # every refusal comes from the count, before any sigma call
+        m.setattr(analysis, "sigma", lambda a: pytest.fail("compared"))
+        with pytest.raises(ValueError, match=rf"^symmetry would make {full} comparisons, "
+                                             r"over the cap of 1000000$"):
+            symmetry_report(2, n, full_range=True)
+        # past the cap in troughs alone, no trough's span is added up
+        with pytest.raises(ValueError, match=r"^symmetry would make at least 999999999999999999 "
+                                             r"comparisons, over the cap of 1000000$"):
+            symmetry_report(2, 10**18)
+        monkeypatch.setattr(analysis, "SYMMETRY_MAX_COMPARISONS", 2)
+        with pytest.raises(ValueError, match=r"^symmetry would make at least 3 comparisons"):
+            symmetry_report(2, 4, d_max=1)
+    # at the cap a report is made; one comparison more is refused.  Troughs
+    # 2..4 make 2 + 3 + 4 = 9 by default and 2 + 3 + 3 = 8 at d_max = 3;
+    # --full-range troughs 2..3 make 5 + 11 = 16
+    for kwargs, count in (({}, 9), ({"d_max": 3}, 8), ({"full_range": True}, 16)):
+        n_max = 3 if "full_range" in kwargs else 4
+        monkeypatch.setattr(analysis, "SYMMETRY_MAX_COMPARISONS", count)
+        assert symmetry_report(2, n_max, **kwargs)["comparisons"] == count
+        monkeypatch.setattr(analysis, "SYMMETRY_MAX_COMPARISONS", count - 1)
+        with monkeypatch.context() as m:
+            m.setattr(analysis, "sigma", lambda a: pytest.fail("compared"))
+            with pytest.raises(ValueError, match=rf"^symmetry would make {count} comparisons, "
+                                                 rf"over the cap of {count - 1}$"):
+                symmetry_report(2, n_max, **kwargs)
 
 
 def test_symmetry_report_variants():

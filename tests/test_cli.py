@@ -290,6 +290,31 @@ def test_analyze_symmetry(capsys):
     assert [e["n"] for e in rep["per_n"]] == [2, 3, 4]
 
 
+def test_analyze_symmetry_refuses_oversized_work(capsys, monkeypatch):
+    # --full-range --n-max 10^6 would run for hours; both refusals come from
+    # the count, before any sigma call
+    n = 10**6
+    full = n * (n + 1) * (2 * n + 1) // 6 + n * (n + 1) // 2 - n - 1
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "sigma", lambda a: pytest.fail("compared"))
+        assert run(capsys, "analyze", "symmetry", "--full-range", "--n-max", str(n)) == (
+            2, "", f"error: symmetry would make {full} comparisons, over the cap of 1000000\n")
+        assert run(capsys, "analyze", "symmetry", "--n-max", str(10**18)) == (
+            2, "", "error: symmetry would make at least 999999999999999999 comparisons, "
+                   "over the cap of 1000000\n")
+    # at a cap of 9 (troughs 2..4 by default) or 16 (2..3 with --full-range)
+    # the report is made; at one less it is refused
+    for flags, count in ((("--n-max", "4"), 9), (("--n-max", "3", "--full-range"), 16)):
+        monkeypatch.setattr(analysis, "SYMMETRY_MAX_COMPARISONS", count)
+        code, out, _ = run(capsys, "analyze", "symmetry", *flags)
+        assert code == 0 and json.loads(out)["comparisons"] == count
+        monkeypatch.setattr(analysis, "SYMMETRY_MAX_COMPARISONS", count - 1)
+        with monkeypatch.context() as m:
+            m.setattr(analysis, "sigma", lambda a: pytest.fail("compared"))
+            assert run(capsys, "analyze", "symmetry", *flags) == (
+                2, "", f"error: symmetry would make {count} comparisons, over the cap of {count - 1}\n")
+
+
 def test_analyze_symmetry_rejects_nonpositive_d_max(capsys):
     for d_max in ("0", "-3"):
         code, out, err = run(capsys, "analyze", "symmetry", "--d-max", d_max)

@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 
 from sqdenom.exactmath import (
     Surd,
-    floor_surd,
     is_perfect_square,
     surd_cmp,
 )
 
-from conftest import cmp_int_vs_sum_sqrt, dec_surd_value, dec_sqrt
+from conftest import cmp_int_vs_sum_sqrt, dec_surd_value, dec_sqrt, floor_surd
 
 
 def test_isqrt_spot_values():

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqdenom import generate_figures, heatmap_data, heatmap_svg, svg
-from sqdenom.analysis import write_csv
-from sqdenom.figures import heatmap_text
+from sqdenom import analysis, generate_figures, heatmap_data, heatmap_svg, svg
+from sqdenom.figures import heatmap_text, write_csv
 from sqdenom.sigmacore import tau
 
 # sha256 of each file generate_figures writes; any change to the numbers,
@@ -35,6 +34,21 @@ def test_figure_bytes_are_pinned(tmp_path):
     paths = generate_figures(tmp_path)
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
     assert digests == FIGURE_SHA256
+
+
+def test_figures_certify_each_a_once(tmp_path, monkeypatch):
+    # fig1, fig2 and fig6 read one sweep of 1..2000, and fig5 sweeps its own
+    # 202 a: 2,202 certified rows, where sweeping 1..500 twice made 2,702
+    calls = []
+    certify = analysis.certified_first_pair
+
+    def counted(a):
+        calls.append(a)
+        return certify(a)
+
+    monkeypatch.setattr(analysis, "certified_first_pair", counted)
+    generate_figures(tmp_path)
+    assert len(calls) == len(set(calls)) == 2202
 
 
 # --- the heatmaps: one column pass, checked cell by cell ----------------------

@@ -13,11 +13,11 @@ DEFINED_IN = {
         "symmetry_report", "upward_closure_check",
     ],
     "confrac": ["CFExpansion", "first_rational_between", "sqrt_cf"],
-    "exactmath": ["Surd", "floor_surd", "is_perfect_square", "isqrt", "surd_cmp"],
+    "exactmath": ["Surd", "is_perfect_square", "isqrt", "surd_cmp"],
     "figures": ["FIG5_K_VALUES", "generate_figures", "heatmap_data", "heatmap_svg"],
     "sigmacore": [
         "Decomposition", "ZeroWindow", "decompose", "min_k", "on_bound_criterion",
-        "sigma", "sigma_k", "sigma_l", "sigma_lower", "sigma_r", "sigma_upper",
+        "sigma", "sigma_k", "sigma_lower", "sigma_upper",
         "t_set", "tau", "zero_windows",
     ],
 }
@@ -25,8 +25,15 @@ NAMES = sorted(name for names in DEFINED_IN.values() for name in names)
 
 
 def test_all_lists_the_public_names():
-    assert len(NAMES) == 36
+    assert len(NAMES) == 33
     assert sorted(sqdenom.__all__) == NAMES
+
+
+@pytest.mark.parametrize("module", sorted(sqdenom._SOURCES))
+def test_lazy_table_names_are_in_their_modules_all(module):
+    # the union pin above misses a name dropped from one list but not the other
+    defining = importlib.import_module(f"sqdenom.{module}")
+    assert set(sqdenom._SOURCES[module]) <= set(defining.__all__)
 
 
 @pytest.mark.parametrize("module", sorted(DEFINED_IN))

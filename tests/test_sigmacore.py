@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from sqdenom import sigmacore
 from sqdenom.confrac import first_pair_between, is_first_rational_between
-from sqdenom.exactmath import Surd, floor_surd, surd_cmp
+from sqdenom.exactmath import Surd, surd_cmp
 from sqdenom.sigmacore import (
     Decomposition,
     decompose,
@@ -14,9 +14,7 @@ from sqdenom.sigmacore import (
     on_bound_criterion,
     sigma,
     sigma_k,
-    sigma_l,
     sigma_lower,
-    sigma_r,
     sigma_upper,
     t_set,
     tau,
@@ -27,7 +25,10 @@ from sqdenom.sigmacore import (
 from conftest import (
     brute_first_rational,
     cmp_int_vs_sum_sqrt,
+    floor_surd,
     run_length_first_pair,
+    sigma_l,
+    sigma_r,
     tau_brute,
     zero_windows_scan,
 )
