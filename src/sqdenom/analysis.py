@@ -14,7 +14,8 @@ from typing import TYPE_CHECKING, NamedTuple
 from .exactmath import is_perfect_square, isqrt
 from .sigmacore import (
     ConsistencyError,
-    _curve_index,
+    _certified_pair_in_frame,
+    _pair_curve_index,
     _top_floor,
     certified_first_pair,
     sigma,
@@ -64,10 +65,13 @@ class SweepRecord(NamedTuple):
 def _sweep_rows(a_from: int, a_to: int):
     """Yield the checked row (a, sigma, sigma1, upper, on_bound, min_k,
     t_first) of each a in a_from..a_to, one square interval n^2 <= a < m^2
-    at a time.  Past the certified kernel pair a row needs only that frame:
-    isqrt(a) = n and isqrt(a+1) = n, or m at a = m^2 - 1, so sigma_1 takes no
-    isqrt, and an off-bound row's curve index (on the bound it is 1) comes
-    in closed form with its sigma_k check on the same frame."""
+    at a time.  Inside the interval, n^2 < a < m^2 - 1, the certified pair
+    comes from the kernel entered in a's frame (_certified_pair_in_frame);
+    the two rows at its ends take the general route.  Past the pair a row
+    needs only that frame: isqrt(a) = n and isqrt(a+1) = n, or m at
+    a = m^2 - 1, so sigma_1 takes no isqrt, and an off-bound row's curve
+    index (on the bound it is 1) is read off the pair and checked by one
+    sigma_k on the same frame (_pair_curve_index)."""
     if a_from < 1 or a_to < a_from:
         raise ValueError("need 1 <= a_from <= a_to")
     lo, n = a_from, isqrt(a_from)
@@ -76,9 +80,12 @@ def _sweep_rows(a_from: int, a_to: int):
         mm = m * m
         b0 = 1 - n * n  # b + 1 = a + b0
         for a in range(lo, min(mm, a_to + 1)):
-            t, s = certified_first_pair(a)
             b1 = a + b0
             c = mm - a
+            if b1 > 1 and c > 1:
+                t, s = _certified_pair_in_frame(a, n, b1)
+            else:
+                t, s = certified_first_pair(a)
             s1 = _top_floor(1, n, n, m if c == 1 else n, b1, c) + 1
             upper = isqrt(4 * a + 2) + 1  # sigma_upper(a)
             if not s1 <= s <= upper:
@@ -86,19 +93,20 @@ def _sweep_rows(a_from: int, a_to: int):
             if s == s1:
                 yield a, s, s1, upper, True, 1, t
             else:
-                yield a, s, s1, upper, False, _curve_index(a, s, n, b1, c), t
+                yield a, s, s1, upper, False, _pair_curve_index(a, t, s, n, b1, c), t
         lo, n = mm, m
 
 
 def sweep(a_from: int, a_to: int) -> list[SweepRecord]:
     """Records for a_from..a_to inclusive, in order, one after another.
 
-    A row is about 4.4 microseconds of exact integer work at small a
-    (a <= 10000), most of it the certified kernel call (_sweep_rows).  This
-    call never forks, as a library call must not start processes behind its
-    caller's back; the `sqdenom sweep` command splits a long range over
-    forked children, each of which formats one block's row tuples into CSV
-    or JSON text (cli.plan_blocks, cli._block_text).
+    A row is about 3.4 microseconds of exact integer work at small a
+    (a <= 10000), CSV text included, most of it the certified kernel call
+    (_sweep_rows).  This call never forks, as a library call must not
+    start processes behind its caller's back; the `sqdenom sweep` command
+    splits a long range over forked children, each of which formats one
+    block's row tuples into CSV or JSON text (cli.plan_blocks,
+    cli._block_text).
     """
     return list(map(SweepRecord._make, _sweep_rows(a_from, a_to)))
 
@@ -112,6 +120,25 @@ def on_bound_fraction(a_from: int, a_to: int) -> Fraction:
     off = len(off_bound_points(a_from, a_to))
     total = a_to - a_from + 1
     return Fraction(total - off, total)
+
+
+def _symmetry_comparisons(n_min: int, n_max: int, d_max: int | None, full_range: bool) -> int:
+    """The number of sigma pairs symmetry_report compares, the sum of its
+    troughs' spans, in closed form: n^2 + n - 1 a trough with full_range,
+    otherwise min(d_max, n), split at d_max into sum(n) below and d_max a
+    trough above, with d_max = n_max by default."""
+    def tri(n):  # 1 + 2 + ... + n
+        return n * (n + 1) // 2
+
+    def squares(n):  # 1 + 4 + ... + n^2
+        return n * (n + 1) * (2 * n + 1) // 6
+
+    lo = n_min - 1
+    if full_range:
+        return squares(n_max) - squares(lo) + tri(n_max) - tri(lo) - (n_max - lo)
+    dm = n_max if d_max is None else d_max
+    split = min(max(dm, lo), n_max)  # troughs n_min..split have span n
+    return tri(split) - tri(lo) + dm * (n_max - split)
 
 
 def symmetry_report(
@@ -128,7 +155,7 @@ def symmetry_report(
     instead, crossing square spikes, and so excludes d_max.  More than
     SYMMETRY_MAX_COMPARISONS comparisons are refused before any sigma call:
     first by the trough count, as each trough makes at least one, then by
-    the sum of the troughs' spans.
+    the sum of the troughs' spans, in closed form (_symmetry_comparisons).
     """
     if n_min < 2 or n_max < n_min:
         raise ValueError("need 2 <= n_min <= n_max")
@@ -147,7 +174,7 @@ def symmetry_report(
             return n * (n + 1) - 1
         return n if d_max is None else min(d_max, n)
 
-    count = sum(map(span, range(n_min, n_max + 1)))
+    count = _symmetry_comparisons(n_min, n_max, d_max, full_range)
     if count > cap:
         raise ValueError(f"symmetry would make {count} comparisons, over the cap of {cap}")
     from fractions import Fraction
@@ -196,8 +223,9 @@ def offbound_minima(n: int) -> list[int]:
 
 def k_set(n: int) -> set[int]:
     """Curve indices realized on n^2 < a < (n+1)^2: the certified sweep
-    rows' min_k, in closed form (sigmacore._curve_index): about 0.12 s for
-    the 20,000 rows at n = 10^4.
+    rows' min_k, each read off its row's certified pair and checked by one
+    sigma_k (sigmacore._pair_curve_index): about 0.09 s for the 20,000 rows
+    at n = 10^4.
 
     sigma_k strictly increases in k (see sigmacore.sigma_k), so each a has
     only one k with sigma_k(a) = sigma(a), and this one set is both the

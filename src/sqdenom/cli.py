@@ -25,9 +25,10 @@ TSET_MAX_WITNESSES = 10**6
 
 # The fewest rows `sweep` hands to one forked child.  A child costs its
 # fork, the copy-on-write pages it touches and the marshal round trip of
-# its text; on a 2-vCPU x86-64 VM a two-block split of a whole `sqdenom
-# sweep` run won 14 of 21 pairs at 3000 rows (-3 % wall), 21 at 5000, 20
-# at 8192 (-12 %), the shortest range this split allows, and 21 at 20000.
+# its text; on a 2-vCPU x86-64 VM, at about 3.4 us a row, a two-block
+# split of a whole `sqdenom sweep` run won 8 of 21 pairs at 3000 rows
+# (+8 % wall), 16 at 5000 (-7 %), 20 at 8192 (-11 %), the shortest range
+# this split allows, and 17 at 20000 (-15 %).
 SWEEP_MIN_BLOCK_ROWS = 4096
 
 

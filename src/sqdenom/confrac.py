@@ -14,8 +14,12 @@ an exact (p + sqrt(d))/r, with d = 0 for a square end, so every level costs
 one floor and one exact sign test on integers of O(log d) bits.  Convergent
 denominators grow at least like Fibonacci numbers, so the depth is
 O(log s); for (sqrt(a), sqrt(a+1)) that is O(log a), and 2-3 levels on the
-families n^2, n^2-1, n^2+n-1 and n^2+7.  Stern-Brocot mediant descent, one
-step per mediant and so O(sqrt(a)) along the integer spine, is the
+families n^2, n^2-1, n^2+n-1 and n^2+7.  Sweep rows strictly inside a
+square interval enter the same descent past its first level, from the
+interval's frame (_first_pair_in_frame), and take back the last
+convergent too, one Stern-Brocot parent of the answer, which certifies it
+(_parents_outside) with no modular inverse.  Stern-Brocot mediant descent,
+one step per mediant and so O(sqrt(a)) along the integer spine, is the
 independent oracle and lives in the tests.  sqrt_cf builds a whole period,
 which can have about sqrt(d) terms, and serves direct expansion queries
 only.
@@ -94,35 +98,14 @@ def sqrt_cf(d: int) -> CFExpansion:
     raise ValueError(f"the period of sqrt({d}) has over {SQRT_CF_MAX_TERMS} terms")
 
 
-def _root(d: int) -> tuple[int, int, int, int]:
-    """sqrt(d) as an endpoint (p, r, d, isqrt(d)) worth (p + sqrt(d))/r.
-
-    A perfect square folds into the rational (root, 1, 0, 0), so a nonzero
-    d always carries an irrational root.
+def _descend(lp, lr, ld, lu, hp, hr, hd, hu, t0, s0, t1, s1):
+    """The simplest-rational recursion from the ends (lp + sqrt(ld))/lr <
+    (hp + sqrt(hd))/hr, lu = isqrt(ld) and hu = isqrt(hd), and the
+    convergents t0/s0 and t1/s1 taken so far.  Returns (t, s, t1, s1): the
+    answer and the last convergent.  t/s = (m*t1 + t0)/(m*s1 + s0) with
+    m >= 1, so t*s1 - s*t1 = t0*s1 - s0*t1 = +-1 and 0 <= s1 <= s: t1/s1 is
+    one Stern-Brocot parent of t/s.
     """
-    u = isqrt(d)
-    if u * u == d:
-        return (u, 1, 0, 0)
-    return (0, 1, d, u)
-
-
-def first_pair_between(x_radicand: int, y_radicand: int) -> tuple[int, int]:
-    """(t, s) with t/s the smallest-denominator rational in (sqrt(x), sqrt(y)).
-
-    Denominator ties (possible only among integers) resolve to the smaller
-    numerator.  t and s are coprime.  Every floor is isqrt arithmetic and
-    every comparison an exact sign test, so no float is consulted.
-    """
-    dx, dy = x_radicand, y_radicand
-    if dx < 0 or dy < 0:
-        raise ValueError("radicands must be nonnegative")
-    if dx >= dy:
-        raise ValueError("empty interval: need x < y")
-    # each end is (p + sqrt(d))/r, held as four ints p, r, d, u = isqrt(d)
-    lp, lr, ld, lu = _root(dx)
-    hp, hr, hd, hu = _root(dy)
-    # convergent recurrence seeds: t_{-2}/s_{-2} = 0/1, t_{-1}/s_{-1} = 1/0
-    t0, s0, t1, s1 = 0, 1, 1, 0
     while True:
         fl = (lp + lu) // lr  # exact floor: no integer in (p + u, p + sqrt(d)]
         # hi - fl = (ph + sqrt(hd))/hr, and fl + 1 lies below hi iff
@@ -132,7 +115,7 @@ def first_pair_between(x_radicand: int, y_radicand: int) -> tuple[int, int]:
         k = ph - hr
         if (k > 0) if hd == 0 else (k >= 0 or hd > k * k):
             m = fl + 1
-            return m * t1 + t0, m * s1 + s0
+            return m * t1 + t0, m * s1 + s0, t1, s1
         t0, t1 = t1, fl * t1 + t0
         s0, s1 = s1, fl * s1 + s0
         # Both ends step to 1/(end - fl) and swap, so the new lower end
@@ -159,6 +142,45 @@ def first_pair_between(x_radicand: int, y_radicand: int) -> tuple[int, int]:
         ld, lu, hd, hu = hd, hu, ld, lu
 
 
+def first_pair_between(x_radicand: int, y_radicand: int) -> tuple[int, int]:
+    """(t, s) with t/s the smallest-denominator rational in (sqrt(x), sqrt(y)).
+
+    Denominator ties (possible only among integers) resolve to the smaller
+    numerator.  t and s are coprime.  Every floor is isqrt arithmetic and
+    every comparison an exact sign test, so no float is consulted.
+    """
+    dx, dy = x_radicand, y_radicand
+    if dx < 0 or dy < 0:
+        raise ValueError("radicands must be nonnegative")
+    if dx >= dy:
+        raise ValueError("empty interval: need x < y")
+    # each end is (p + sqrt(d))/r, held as four ints p, r, d, u = isqrt(d),
+    # here sqrt(d)/1; a perfect square folds into the rational
+    # (root, 1, 0, 0), so a nonzero d always carries an irrational root
+    lu, hu = isqrt(dx), isqrt(dy)
+    lp = hp = 0
+    if lu * lu == dx:
+        lp, dx, lu = lu, 0, 0
+    if hu * hu == dy:
+        hp, dy, hu = hu, 0, 0
+    # convergent recurrence seeds: t_{-2}/s_{-2} = 0/1, t_{-1}/s_{-1} = 1/0
+    t, s, _, _ = _descend(lp, 1, dx, lu, hp, 1, dy, hu, 0, 1, 1, 0)
+    return t, s
+
+
+def _first_pair_in_frame(a: int, n: int, b1: int) -> tuple[int, int, int, int]:
+    """(t, s, p, q) for (sqrt(a), sqrt(a+1)) with n^2 < a < (n+1)^2 - 1,
+    n = isqrt(a) and b1 = a - n^2 + 1: first_pair_between(a, a + 1) with
+    the last convergent p/q, one Stern-Brocot parent of t/s.
+
+    Both roots lie strictly between n and n + 1, so the first level takes
+    the floor n and leaves the ends (n + sqrt(a+1))/b1 and
+    (n + sqrt(a))/(b1 - 1) with the convergents n/1 and 1/0.  The descent
+    starts there, with no isqrt and no first level.
+    """
+    return _descend(n, b1, a + 1, n, n, b1 - 1, a, n, 1, 0, n, 1)
+
+
 def first_rational_between(x_radicand: int, y_radicand: int) -> Fraction:
     """Smallest-denominator rational in the open interval (sqrt(x), sqrt(y)).
 
@@ -182,19 +204,40 @@ def stern_brocot_between(x_radicand: int, y_radicand: int) -> Fraction:
 def is_first_rational_between(x_radicand: int, y_radicand: int, t: int, s: int) -> bool:
     """Whether t/s is what first_rational_between(x, y) must return.
 
-    Stern-Brocot certificate in O(log s): t/s lies strictly inside
-    (sqrt(x), sqrt(y)) and both of its Stern-Brocot parents lie outside.
-    The left parent is (t*b - 1)/s over b = t^-1 mod s (b = 1 when s = 1),
-    the right one (t - that)/(s - b).  Every rational strictly between the
-    parents other than t/s has a denominator above s, and for s = 1 the
-    left parent t - 1 being outside makes t the smallest integer inside.
+    Stern-Brocot certificate in O(log s) (_parents_outside), with the left
+    parent (t*b - 1)/s over b = t^-1 mod s (b = 1 when s = 1).
     """
-    dx, dy = x_radicand, y_radicand
     if t < 1 or s < 1 or gcd(t, s) != 1:
         return False
-    if not dx * s * s < t * t < dy * s * s:
-        return False
     b = pow(t, -1, s) if s > 1 else 1
-    a = (t * b - 1) // s
-    c, d = t - a, s - b
-    return a * a <= dx * b * b and c * c >= dy * d * d
+    return _parents_outside(x_radicand, y_radicand, t, s, (t * b - 1) // s, b)
+
+
+def _parents_outside(dx: int, dy: int, t: int, s: int, p: int, q: int) -> bool:
+    """Whether t/s lies strictly inside (sqrt(dx), sqrt(dy)) and p/q is one
+    of its Stern-Brocot parents with both parents outside: then t/s is
+    first_rational_between(dx, dy).
+
+    p/q is a parent when t*q - s*p = +-1 and 0 <= q <= s; the other parent
+    is (t - p)/(s - q), and the one of sign +1 is on the left.  Two
+    fractions L < R with det 1 are Farey neighbours: every rational
+    strictly between them is (i*L + j*R) over i*L_q + j*R_q, with i, j >= 1
+    (Concrete Mathematics, 4.5).  So with both parents outside, every
+    rational inside other than t/s has a denominator above s.  A parent
+    with q = 0 is 1/0 on the right, which leaves t the smallest integer
+    inside, or -1/0 on the left, which fails the left test.  For s >= 2 the
+    q that pass are b and s - b with b = t^-1 mod s, so this is the test
+    is_first_rational_between makes with its own parent.
+    """
+    if t < 1 or s < 1 or not 0 <= q <= s:
+        return False
+    det = t * q - s * p
+    if det == 1:
+        lp, lq, rp, rq = p, q, t - p, s - q
+    elif det == -1:
+        lp, lq, rp, rq = t - p, s - q, p, q
+    else:
+        return False
+    ss = s * s
+    return (dx * ss < t * t < dy * ss
+            and lp * lp <= dx * lq * lq and rp * rp >= dy * rq * rq)

@@ -26,7 +26,12 @@ from itertools import repeat
 from operator import mul, sub
 from typing import NamedTuple
 
-from .confrac import first_pair_between, is_first_rational_between
+from .confrac import (
+    _first_pair_in_frame,
+    _parents_outside,
+    first_pair_between,
+    is_first_rational_between,
+)
 from .exactmath import Surd, isqrt, surd_cmp
 
 __all__ = [
@@ -136,7 +141,7 @@ def t_set(a: int, s: int) -> list[int]:
 def _top_floor(k: int, n: int, root: int, root1: int, b1: int, c: int) -> int:
     """sigma_k(a) - 1 in a's frame, the larger of (k*n + root1)//(b+1) and
     (k*m + root)//c with root = isqrt(k^2*a), root1 = isqrt(k^2*(a+1)),
-    b1 = b + 1 and c = m^2 - a; sigma_k, _curve_index and sweeps share it."""
+    b1 = b + 1 and c = m^2 - a; sigma_k, min_k and sweep rows share it."""
     left = (k * n + root1) // b1
     right = (k * (n + 1) + root) // c
     return left if left > right else right
@@ -192,14 +197,31 @@ def sigma(a: int) -> int:
 
 def certified_first_pair(a: int) -> tuple[int, int]:
     """The kernel's (t, s) for (a, a+1), once the Stern-Brocot certificate
-    and tau(a, s) = 1 have confirmed it; ConsistencyError otherwise.
+    has confirmed it; ConsistencyError otherwise.
 
-    sigma(a) is left uncertified, as it is the hot path of point queries.
+    The certificate implies tau(a, s) = 1, so that is not tested again.
+    It puts t/s inside, so tau(a, s) >= 1.  Both parents L < t/s < R lie
+    outside, so any t'/s inside lies strictly between them.  In lowest terms
+    t'/s = t''/s'' with s'' <= s, and every rational strictly between L and
+    R other than t/s has a denominator above s (confrac._parents_outside),
+    so t'/s = t/s.  sigma(a) is left uncertified, as it is the hot path of
+    point queries.
     """
     if a < 0:
         raise ValueError("a must be >= 0")
     t, s = first_pair_between(a, a + 1)
-    if not (is_first_rational_between(a, a + 1, t, s) and tau(a, s) == 1):
+    if not is_first_rational_between(a, a + 1, t, s):
+        raise ConsistencyError(f"sigma certificate failed at a={a}: t={t} s={s}")
+    return t, s
+
+
+def _certified_pair_in_frame(a: int, n: int, b1: int) -> tuple[int, int]:
+    """certified_first_pair(a) for n^2 < a < (n+1)^2 - 1 in a's frame
+    (n = isqrt(a), b1 = b + 1): the kernel entered past its first level
+    (confrac._first_pair_in_frame), certified with the parent it hands back
+    in place of one worked out by gcd and a modular inverse."""
+    t, s, p, q = _first_pair_in_frame(a, n, b1)
+    if not _parents_outside(a, a + 1, t, s, p, q):
         raise ConsistencyError(f"sigma certificate failed at a={a}: t={t} s={s}")
     return t, s
 
@@ -234,12 +256,13 @@ def min_k(a: int, s: int | None = None) -> int:
     works out sigma_k's frame once (n, a + 1, b + 1, c) and then takes
     sigma_k's two floors per step through _top_floor, two isqrt calls.
 
-    The walk is O(k) where _curve_index is two isqrt calls.  No command
-    calls it: sweep rows, and so k_set and off_bound_points, take the
-    closed form.  It stays a walk on purpose: it is the independent oracle
-    for the closed form, and the benchmark's families query checks each
-    answer with an O(k) scan of its own, which would never finish on the k
-    of about 4*10^24 that the closed form returns at a near 10^50.
+    The walk is O(k) where a sweep row reads k off its certified pair
+    (_pair_curve_index) and checks it with one sigma_k.  No command calls
+    it: sweep rows, and so k_set and off_bound_points, take that index.  It
+    stays a walk on purpose: it is the independent oracle for the row's
+    index, and the benchmark's families query checks each answer with an
+    O(k) scan of its own, which would never finish on the k of about
+    4*10^24 that the closed form returns at a near 10^50.
     """
     if s is None:
         s = sigma(a)
@@ -257,26 +280,32 @@ def min_k(a: int, s: int | None = None) -> int:
     raise ConsistencyError(f"no curve index k <= {s} matches sigma({a})")
 
 
-def _curve_index(a: int, s: int, n: int, b1: int, c: int) -> int:
-    """min_k(a, s) in closed form, for a >= 0 in its frame (n = isqrt(a),
-    b1 = b + 1, c = m^2 - a), checked by one sigma_k in that frame.
+def _pair_curve_index(a: int, t: int, s: int, n: int, b1: int, c: int) -> int:
+    """min_k(a, s) read off the certified pair t/s of a in its frame
+    (n = isqrt(a), m = n + 1, b1 = b + 1, c = m^2 - a): with u = t - n*s and
+    v = m*s - t it is min(u, v), confirmed by one sigma_k in that frame.
 
-    k*sigma_l(a) = k/(sqrt(a+1) - n) and k*sigma_r(a) = k/(m - sqrt(a)), so
-    with j = s - 1 the least k whose larger floor reaches j is
-    min(ceil(j*sqrt(a+1)) - j*n, j*m - floor(j*sqrt(a))), two isqrt calls
-    (ceil(sqrt(X)) = isqrt(X - 1) + 1 for X >= 1).  That k has
-    sigma_k(a) >= s and sigma_k(a, k-1) < s, so it is the one match exactly
-    when sigma_k(a, k) = s.  s < 2 leaves no curve (sigma_k >= k + 1 >= 2)
-    and would give isqrt(-1) at j = 0.
+    Why: k*sigma_l(a) = k/(sqrt(a+1) - n) and k*sigma_r(a) = k/(m - sqrt(a)),
+    and t/s lies inside (sqrt(a), sqrt(a+1)), so u/s < sqrt(a+1) - n and
+    v/s < m - sqrt(a), that is u*sigma_l < s and v*sigma_r < s.  Every
+    k <= min(u, v) thus has both k*sigma_l and k*sigma_r below s, and
+    sigma_k(a) <= s.  s >= 2 is the least denominator inside, as no
+    integer lies inside for a >= 1.  If u*sigma_l < s - 1, then
+    u/(s - 1) < sqrt(a+1) - n, so (t - n)/(s - 1) = n + u/(s - 1) lies
+    below sqrt(a+1), and above t/s as u > 0: inside with a smaller
+    denominator.  So u*sigma_l >= s - 1, and likewise v*sigma_r >= s - 1
+    with (t - m)/(s - 1) = m - v/(s - 1), which lies above sqrt(a) and below
+    t/s as v > 0.  At k = min(u, v) one of the two floors is then at least
+    s - 1, so sigma_k(a) = s, and as sigma_k strictly increases in k
+    (see sigma_k) it is the one match.  The sigma_k check keeps this honest at
+    run time; a pair outside (n, m) gives k <= 0, which is refused before
+    any floor is taken.
     """
-    if s >= 2:
-        j = s - 1
-        jj = j * j
-        k = min(isqrt(jj * (a + 1) - 1) + 1 - j * n, j * (n + 1) - isqrt(jj * a))
-        if k >= 1:
-            kk = k * k
-            if _top_floor(k, n, isqrt(kk * a), isqrt(kk * (a + 1)), b1, c) == j:
-                return k
+    k = min(t - n * s, (n + 1) * s - t)
+    if k >= 1:
+        kk = k * k
+        if _top_floor(k, n, isqrt(kk * a), isqrt(kk * (a + 1)), b1, c) == s - 1:
+            return k
     raise ConsistencyError(f"no curve index k <= {s} matches sigma({a})")
 
 

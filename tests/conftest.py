@@ -10,6 +10,7 @@ windows that compares every window's ends, plain and run-length
 Stern-Brocot descents for the first rational between two square roots,
 a sweep row built value by value from the public point functions,
 per-a off-bound and curve-index walks over sigma, sigma_lower and min_k,
+the curve index in closed form from two isqrt calls,
 a checked tau profile over s, and the bounding curves sigma_l and sigma_r
 as exact surds with the surd floor that sigma_k is checked against.
 """
@@ -230,11 +231,27 @@ def sweep_record(a):
     upper = sigma_upper(a)
     if not s1 <= s <= upper:
         raise ConsistencyError(f"bounds violated at a={a}")
-    n, j = isqrt(a), s - 1
-    k = min(isqrt(j * j * (a + 1) - 1) + 1 - j * n, j * (n + 1) - isqrt(j * j * a))
-    if not (k >= 1 and sigma_k(a, k) == s and (k == 1 or sigma_k(a, k - 1) < s)):
+    k = closed_form_curve_index(a, s)
+    if not (k == 1 or sigma_k(a, k - 1) < s):
         raise ConsistencyError(f"no curve index k <= {s} matches sigma({a})")
     return SweepRecord(a, s, s1, upper, s == s1, k, t)
+
+
+def closed_form_curve_index(a, s):
+    """min_k(a, s) in closed form, checked by one sigma_k: with j = s - 1,
+    k*sigma_l(a) = k/(sqrt(a+1) - n) and k*sigma_r(a) = k/(m - sqrt(a)), so
+    the least k whose larger floor reaches j is
+    min(ceil(j*sqrt(a+1)) - j*n, j*m - floor(j*sqrt(a))), two isqrt calls
+    (ceil(sqrt(X)) = isqrt(X - 1) + 1 for X >= 1).  That k has
+    sigma_k(a) >= s and sigma_k(a, k-1) < s, so it is the one match exactly
+    when sigma_k(a, k) = s.  s < 2 leaves no curve (sigma_k >= k + 1 >= 2)
+    and would give isqrt(-1) at j = 0."""
+    if s >= 2:
+        n, j = isqrt(a), s - 1
+        k = min(isqrt(j * j * (a + 1) - 1) + 1 - j * n, j * (n + 1) - isqrt(j * j * a))
+        if k >= 1 and sigma_k(a, k) == s:
+            return k
+    raise ConsistencyError(f"no curve index k <= {s} matches sigma({a})")
 
 
 def off_bound_points_walk(a_from, a_to):

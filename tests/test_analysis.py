@@ -2,6 +2,7 @@
 
 import csv
 import io
+from collections import Counter
 from fractions import Fraction
 from math import isqrt
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqdenom import analysis, cli, sigmacore
+from sqdenom import analysis, cli, confrac, sigmacore
 from sqdenom.analysis import (
     SweepRecord,
     conjecture1_search,
@@ -108,23 +109,77 @@ def test_sweep_validation():
 
 
 def test_sweep_record_rejects_inconsistent_rows(monkeypatch):
-    # at a = 19: sigma_1 = 3, upper bound 9, and t_set(19, 5) == [22]
+    # at a = 19 (n = 4, b + 1 = 4): sigma_1 = 3, upper bound 9, and the
+    # kernel's pair is 22/5 between its parents 13/3 and 9/2
+    assert sigmacore._first_pair_in_frame(19, 4, 4) == (22, 5, 9, 2)
     with monkeypatch.context() as m:
-        for pair in [(9, 2), (44, 10), (23, 5)]:
-            m.setattr(sigmacore, "first_pair_between", lambda x, y, pair=pair: pair)
-            with pytest.raises(ConsistencyError):
+        # outside, not coprime, inside but not first (22/5, one parent of
+        # 35/8, lies inside too), and the right pair with a p/q that is no
+        # parent of it
+        for quad in [(9, 2, 4, 1), (44, 10, 22, 5), (23, 5, 9, 2), (35, 8, 13, 3),
+                     (35, 8, 22, 5), (22, 5, 4, 1), (22, 5, 22, 5)]:
+            m.setattr(sigmacore, "_first_pair_in_frame", lambda a, n, b1, quad=quad: quad)
+            with pytest.raises(ConsistencyError, match="sigma certificate failed at a=19"):
                 sweep(19, 19)
+        # either parent certifies the right pair
+        m.setattr(sigmacore, "_first_pair_in_frame", lambda a, n, b1: (22, 5, 13, 3))
+        assert sweep(19, 19)[0].t_first == 22
     # a certified sigma = 5 below a lower bound of 6 breaks the row check
     with monkeypatch.context() as m:
         m.setattr(analysis, "_top_floor", lambda *frame: 5)
         with pytest.raises(ConsistencyError, match="bounds violated"):
             sweep(19, 19)
     # so does sigma = 10 above the upper bound of 9, once its certificate is
-    # forced through (tau(19, 10) = 1 holds: 43^2 < 1900 < 44^2 < 2000)
-    monkeypatch.setattr(sigmacore, "is_first_rational_between", lambda *pair: True)
-    monkeypatch.setattr(sigmacore, "first_pair_between", lambda x, y: (44, 10))
-    with pytest.raises(ConsistencyError, match="bounds violated"):
-        sweep(19, 19)
+    # forced through
+    monkeypatch.setattr(sigmacore, "_parents_outside", lambda *pair: True)
+    with monkeypatch.context() as m:
+        m.setattr(sigmacore, "_first_pair_in_frame", lambda a, n, b1: (44, 10, 0, 1))
+        with pytest.raises(ConsistencyError, match="bounds violated"):
+            sweep(19, 19)
+    # an off-bound sigma = 4 whose t/s is not inside (4, 5) leaves
+    # u = t - 4s or v = 5s - t at most 0: refused before any floor of k <= 0
+    top_floor = sigmacore._top_floor
+
+    def floor_of_positive_k(k, *frame):
+        assert k >= 1
+        return top_floor(k, *frame)
+
+    monkeypatch.setattr(sigmacore, "_top_floor", floor_of_positive_k)
+    for t in (15, 16, 20, 21):
+        with monkeypatch.context() as m:
+            m.setattr(sigmacore, "_first_pair_in_frame", lambda a, n, b1, t=t: (t, 4, 0, 1))
+            with pytest.raises(ConsistencyError, match="no curve index k <= 4 matches sigma"):
+                sweep(19, 19)
+
+
+def test_sweep_rows_count_their_work(monkeypatch):
+    # one kernel descent a row; inside an interval the kernel takes no
+    # isqrt, and a row takes one for its upper bound and, off the bound,
+    # two more for its sigma_k check
+    calls = Counter()
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    for module in (confrac, sigmacore, analysis):
+        monkeypatch.setattr(module, "isqrt", counted(module.__name__, module.isqrt))
+    monkeypatch.setattr(confrac, "_descend", counted("descend", confrac._descend))
+    seen = Counter()
+    rows = 0
+    for a, _, _, _, on_bound, _, _ in analysis._sweep_rows(1, 2000):
+        work = calls - seen
+        seen = calls.copy()
+        rows += 1
+        assert work["descend"] == 1, a
+        n = isqrt(a)
+        if n * n < a < (n + 1) ** 2 - 1:
+            assert work["sqdenom.confrac"] == 0, a
+            assert work["sqdenom.sigmacore"] + work["sqdenom.analysis"] == (
+                1 if on_bound else 3), a
+    assert rows == 2000
 
 
 def test_tau_profile_shape(monkeypatch):
@@ -169,6 +224,35 @@ def test_symmetry_report_aggregate():
     assert first["n"] == 2 and first["center"] == 6 and first["comparisons"] == 2
     # offsets are clipped to the trough radius
     assert all(e["comparisons"] == e["n"] for e in rep["per_n"])
+
+
+def _span_sum(n_min, n_max, d_max, full_range):
+    return sum(n * (n + 1) - 1 if full_range else n if d_max is None else min(d_max, n)
+               for n in range(n_min, n_max + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=2, max_value=3000), st.integers(min_value=0, max_value=3000),
+       st.one_of(st.none(), st.integers(min_value=1, max_value=4000)), st.booleans())
+@example(2, 0, None, True)
+@example(5, 10, 5, False)  # d_max = n_min
+@example(5, 10, 4, False)  # d_max below every trough
+@example(5, 10, 10, False)  # d_max = n_max
+def test_symmetry_count_in_closed_form(n_min, width, d_max, full_range):
+    if full_range:
+        d_max = None
+    n_max = n_min + width
+    assert analysis._symmetry_comparisons(n_min, n_max, d_max, full_range) == _span_sum(
+        n_min, n_max, d_max, full_range)
+
+
+def test_symmetry_count_takes_no_trough_walk():
+    # troughs 2..10^30: a sum over them would never end
+    n = 10**30
+    assert analysis._symmetry_comparisons(2, n, None, False) == n * (n + 1) // 2 - 1
+    assert analysis._symmetry_comparisons(2, n, 7, False) == 2 + 3 + 4 + 5 + 6 + 7 * (n - 6)
+    assert analysis._symmetry_comparisons(2, n, None, True) == (
+        n * (n + 1) * (2 * n + 1) // 6 + n * (n + 1) // 2 - n - 1)
 
 
 def test_symmetry_report_refuses_more_comparisons_than_the_cap(monkeypatch):

@@ -42,6 +42,7 @@ def test_consistency_failures_exit_four(capsys, monkeypatch, tmp_path):
     # offbound, kset and every figure read certified sweep rows too
     with monkeypatch.context() as m:
         m.setattr(sigmacore, "first_pair_between", lambda x, y: (850, 28))
+        m.setattr(sigmacore, "_first_pair_in_frame", lambda a, n, b1: (850, 28, 0, 1))
         for argv in (("sigma", "991"), ("first-square", "991"),
                      ("sweep", "--from", "19", "--to", "19"),
                      ("analyze", "offbound", "--n-from", "7", "--n-to", "7"),
@@ -61,13 +62,13 @@ def test_consistency_failures_exit_four(capsys, monkeypatch, tmp_path):
     # sigma_1 = 2 <= 3 <= 4 = upper passes the bounds check, but the curves
     # give 2, 4, 6 at k = 1, 2, 3
     with monkeypatch.context() as m:
-        m.setattr(analysis, "certified_first_pair", lambda a: (5, 3))
+        m.setattr(analysis, "_certified_pair_in_frame", lambda a, n, b1: (5, 3))
         code, out, err = run(capsys, "sweep", "--from", "2", "--to", "2")
     assert (code, out) == (4, "")
     assert err.startswith("internal error: no curve index") and err.count("\n") == 1
     # k_set reads the same rows and keeps the same guarantee: at a = 5,
     # sigma_1 = 3 <= 4 <= 5 = upper passes, but the curves give 3, 5, 7
-    monkeypatch.setattr(analysis, "certified_first_pair", lambda a: (9, 4))
+    monkeypatch.setattr(analysis, "_certified_pair_in_frame", lambda a, n, b1: (9, 4))
     code, out, err = run(capsys, "analyze", "kset", "--n", "2")
     assert (code, out) == (4, "")
     assert err.startswith("internal error: no curve index") and err.count("\n") == 1
@@ -487,11 +488,15 @@ def _no_children_left():
 
 
 def _fault_at(monkeypatch, *bad):
-    """A kernel that answers (850, 28) at each a in bad, which the sweep's
-    certificate rejects."""
-    kernel = sigmacore.first_pair_between
+    """A kernel that answers (850, 28) at each a in bad, from its general
+    entry and from the one in a's frame, which the sweep's certificate
+    rejects."""
+    kernel, in_frame = sigmacore.first_pair_between, sigmacore._first_pair_in_frame
     monkeypatch.setattr(
         sigmacore, "first_pair_between", lambda x, y: (850, 28) if x in bad else kernel(x, y))
+    monkeypatch.setattr(
+        sigmacore, "_first_pair_in_frame",
+        lambda a, n, b1: (850, 28, 0, 1) if a in bad else in_frame(a, n, b1))
 
 
 def test_split_sweep_writes_the_serial_bytes(capsys, monkeypatch):

@@ -4,11 +4,13 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sqdenom.confrac import (
     CFExpansion,
+    _first_pair_in_frame,
+    _parents_outside,
     first_pair_between,
     first_rational_between,
     is_first_rational_between,
@@ -204,3 +206,55 @@ def test_certificate_rejects_wrong_answers():
     # several integers inside: only the smallest is first
     assert is_first_rational_between(0, 9, 1, 1)
     assert not is_first_rational_between(0, 9, 2, 1)
+
+
+def test_parents_outside_certifies_only_the_first_rational():
+    # every (t, s, p, q) with s <= 6 on every interval of radicands up to
+    # 10: it passes only for the first rational and a p/q with
+    # t*q - s*p = +-1, and for s >= 2 for every such p/q; at s = 1 the
+    # -1/0 on the left fails
+    for y in range(1, 11):
+        for x in range(y):
+            want = first_pair_between(x, y)
+            for s in range(1, 7):
+                for t in range(1, 4 * s + 1):
+                    for q in range(s + 1):
+                        ps = range(-1, t + 2)
+                        passed = {p for p in ps if _parents_outside(x, y, t, s, p, q)}
+                        if (t, s) != want:
+                            assert not passed, (x, y, t, s, q)
+                            continue
+                        parents = {p for p in ps if t * q - s * p in (1, -1)}
+                        assert passed <= parents and (s == 1 or passed == parents), (
+                            x, y, t, s, q)
+            t, s = want
+            b = pow(t, -1, s) if s > 1 else 1
+            a = (t * b - 1) // s
+            assert _parents_outside(x, y, t, s, a, b), (x, y)
+            assert _parents_outside(x, y, t, s, t - a, s - b), (x, y)
+
+
+# a strictly inside a square interval n^2 < a < (n+1)^2 - 1, up to 10^300
+_inside_a = st.builds(
+    lambda n, f: n * n + 1 + f % (2 * n - 1),
+    st.one_of(st.integers(min_value=1, max_value=1000),
+              st.integers(min_value=1, max_value=10**150)),
+    st.integers(min_value=0, max_value=10**150),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_inside_a)
+@example(2)  # n = 1, b = 1
+@example(10**200 + 1)  # b = 1
+@example(10**200 + 2 * 10**100 - 1)  # a + 1 = m^2 - 1
+def test_kernel_in_frame_hands_back_a_parent(a):
+    # entered past its first level, the kernel finds the general entry's
+    # pair, and its last convergent is one parent: both parents certify it
+    n = isqrt(a)
+    t, s, p, q = _first_pair_in_frame(a, n, a - n * n + 1)
+    assert (t, s) == first_pair_between(a, a + 1), a
+    assert t * q - s * p in (1, -1) and 0 <= q <= s, a
+    assert _parents_outside(a, a + 1, t, s, p, q), a
+    assert _parents_outside(a, a + 1, t, s, t - p, s - q), a
+    assert not _parents_outside(a, a + 1, t + 1, s, p, q), a

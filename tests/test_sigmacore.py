@@ -8,7 +8,9 @@ from sqdenom import sigmacore
 from sqdenom.confrac import first_pair_between, is_first_rational_between
 from sqdenom.exactmath import Surd, surd_cmp
 from sqdenom.sigmacore import (
+    ConsistencyError,
     Decomposition,
+    certified_first_pair,
     decompose,
     min_k,
     on_bound_criterion,
@@ -24,6 +26,7 @@ from sqdenom.sigmacore import (
 
 from conftest import (
     brute_first_rational,
+    closed_form_curve_index,
     cmp_int_vs_sum_sqrt,
     floor_surd,
     run_length_first_pair,
@@ -32,12 +35,6 @@ from conftest import (
     tau_brute,
     zero_windows_scan,
 )
-
-
-def _curve_index(a, s):
-    """The closed-form curve index in a's frame, as decompose gives it."""
-    dc = decompose(a)
-    return sigmacore._curve_index(a, s, dc.n, dc.b + 1, dc.c)
 
 
 def test_decompose_examples():
@@ -275,7 +272,7 @@ def test_min_k_is_minimal():
 
 def test_min_k_matches_closed_form():
     for a in range(1, 20001):
-        assert min_k(a) == _curve_index(a, sigma(a)), a
+        assert min_k(a) == closed_form_curve_index(a, sigma(a)), a
 
 
 def test_zero_windows_structure():
@@ -369,7 +366,7 @@ def test_closed_form_min_k_at_every_scale(a):
     # sigma_k strictly increases in k, so these two checks make k the least
     # index on the curve through sigma(a); min_k's walk is O(k)
     s = run_length_first_pair(a, a + 1)[1]
-    k = _curve_index(a, s)
+    k = closed_form_curve_index(a, s)
     assert sigma_k(a, k) == s, a
     assert k == 1 or sigma_k(a, k - 1) < s, a
     if k <= 10**4:
@@ -420,9 +417,56 @@ def test_curve_index_raises_consistency_error_off_every_curve():
     # take isqrt(-1)); at a = 1 the curves give 3, 6, ..., and at a = 2
     # they give 2, 4, 6, so s = 2 and s = 3 miss them
     for a, s in ((2, 0), (2, 1), (10**200, 1), (1, 2), (2, 3)):
-        with pytest.raises(sigmacore.ConsistencyError, match=f"no curve index k <= {s} "):
-            _curve_index(a, s)
-    assert _curve_index(2, 2) == 1
+        with pytest.raises(ConsistencyError, match=f"no curve index k <= {s} "):
+            closed_form_curve_index(a, s)
+    assert closed_form_curve_index(2, 2) == 1
+    # the row's index from a pair at a = 2 (n = 1, b + 1 = c = 2): 3/2 is
+    # sigma's pair, 5/3 lies inside on no curve, and a pair outside (1, 2)
+    # gives u = t - n*s or v = m*s - t <= 0
+    assert sigmacore._pair_curve_index(2, 3, 2, 1, 2, 2) == 1
+    for t, s in ((5, 3), (3, 3), (2, 3), (6, 3), (7, 3), (3, 1), (10, 3)):
+        with pytest.raises(ConsistencyError, match=f"no curve index k <= {s} "):
+            sigmacore._pair_curve_index(2, t, s, 1, 2, 2)
+
+
+# a up to 10^300, or at the edges n^2 + {0, 1, n - 1, n, 2n} of an interval
+_pair_a = st.one_of(
+    st.integers(min_value=1, max_value=10**300),
+    st.builds(lambda n, e: n * n + (0, 1, n - 1, n, 2 * n)[e],
+              st.one_of(st.integers(min_value=1, max_value=1000),
+                        st.integers(min_value=1, max_value=10**150)),
+              st.integers(min_value=0, max_value=4)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_pair_a)
+@example(1)  # a = 1^2 + 0
+@example(10**200)  # a = n^2
+@example(10**200 + 10**100 - 1)  # a = n^2 + n - 1, the off-bound peak
+@example(10**200 + 2 * 10**100)  # a = m^2 - 1
+def test_pair_curve_index_matches_the_closed_form(a):
+    # min(t - n*s, m*s - t) off the certified pair, against the isqrt
+    # closed form; both confirm the index with sigma_k
+    t, s = certified_first_pair(a)
+    dc = decompose(a)
+    k = closed_form_curve_index(a, s)
+    assert min(t - dc.n * s, dc.m * s - t) == k, a
+    assert sigmacore._pair_curve_index(a, t, s, dc.n, dc.b + 1, dc.c) == k, a
+
+
+@settings(max_examples=400, deadline=None)
+@given(_pair_a)
+@example(1)
+@example(10**200 - 1)  # a + 1 = m^2
+def test_certified_pairs_have_one_witness(a):
+    # the certificate implies tau(a, s) = 1 (certified_first_pair), so
+    # neither route tests it: this checks it for each
+    t, s = certified_first_pair(a)
+    assert tau(a, s) == 1 and t_set(a, s) == [t], a
+    dc = decompose(a)
+    if 0 < dc.b < 2 * dc.n:
+        assert sigmacore._certified_pair_in_frame(a, dc.n, dc.b + 1) == (t, s), a
 
 
 def test_zero_windows_step_down_from_k_max(monkeypatch):
