@@ -17,7 +17,6 @@ from .sigmacore import (
     _certified_pair_in_frame,
     _pair_curve_index,
     _top_floor,
-    certified_first_pair,
     sigma,
     sigma_upper,
     tau,
@@ -65,13 +64,12 @@ class SweepRecord(NamedTuple):
 def _sweep_rows(a_from: int, a_to: int):
     """Yield the checked row (a, sigma, sigma1, upper, on_bound, min_k,
     t_first) of each a in a_from..a_to, one square interval n^2 <= a < m^2
-    at a time.  Inside the interval, n^2 < a < m^2 - 1, the certified pair
-    comes from the kernel entered in a's frame (_certified_pair_in_frame);
-    the two rows at its ends take the general route.  Past the pair a row
-    needs only that frame: isqrt(a) = n and isqrt(a+1) = n, or m at
-    a = m^2 - 1, so sigma_1 takes no isqrt, and an off-bound row's curve
-    index (on the bound it is 1) is read off the pair and checked by one
-    sigma_k on the same frame (_pair_curve_index)."""
+    at a time.  Every row's certified pair comes from the kernel entered in
+    a's frame (_certified_pair_in_frame), the two rows at the interval's
+    ends included.  Past the pair a row needs only that frame: isqrt(a) = n
+    and isqrt(a+1) = n, or m at a = m^2 - 1, so sigma_1 takes no isqrt, and
+    an off-bound row's curve index (on the bound it is 1) is read off the
+    pair and checked by one sigma_k on the same frame (_pair_curve_index)."""
     if a_from < 1 or a_to < a_from:
         raise ValueError("need 1 <= a_from <= a_to")
     lo, n = a_from, isqrt(a_from)
@@ -82,10 +80,7 @@ def _sweep_rows(a_from: int, a_to: int):
         for a in range(lo, min(mm, a_to + 1)):
             b1 = a + b0
             c = mm - a
-            if b1 > 1 and c > 1:
-                t, s = _certified_pair_in_frame(a, n, b1)
-            else:
-                t, s = certified_first_pair(a)
+            t, s = _certified_pair_in_frame(a, n, b1, c)
             s1 = _top_floor(1, n, n, m if c == 1 else n, b1, c) + 1
             upper = isqrt(4 * a + 2) + 1  # sigma_upper(a)
             if not s1 <= s <= upper:

@@ -4,25 +4,25 @@ sqrt(d) has the periodic expansion [a0; p1, ..., pk, p1, ...] computed by the
 classical (m, den) recurrence; the period ends at the first partial quotient
 equal to 2*a0.
 
-first_pair_between is the one runtime route to the smallest-denominator
-rational in an open interval (sqrt(x), sqrt(y)).  It runs the
-simplest-rational recursion: if the least integer above the lower end lies
+_first_pair_in_frame is the one runtime route to the first rational in
+(sqrt(a), sqrt(a+1)): given a's frame, n = isqrt(a), it enters the
+simplest-rational recursion past its first level, as no integer lies
+inside.  The recursion: if the least integer above the lower end lies
 below the upper end, that integer is the answer; otherwise both ends share
 their integer part, which becomes the next partial quotient, and the search
 continues on the reciprocals of the fractional parts.  Each endpoint stays
-an exact (p + sqrt(d))/r, with d = 0 for a square end, so every level costs
-one floor and one exact sign test on integers of O(log d) bits.  Convergent
-denominators grow at least like Fibonacci numbers, so the depth is
-O(log s); for (sqrt(a), sqrt(a+1)) that is O(log a), and 2-3 levels on the
-families n^2, n^2-1, n^2+n-1 and n^2+7.  Sweep rows strictly inside a
-square interval enter the same descent past its first level, from the
-interval's frame (_first_pair_in_frame), and take back the last
+an exact (p + sqrt(d))/r, with d = 0 for a rational end, so every level
+costs one floor and one exact sign test on integers of O(log d) bits.
+Convergent denominators grow at least like Fibonacci numbers, so the depth
+is O(log s); for (sqrt(a), sqrt(a+1)) that is O(log a), and 2-3 levels on
+the families n^2, n^2-1, n^2+n-1 and n^2+7.  It takes back the last
 convergent too, one Stern-Brocot parent of the answer, which certifies it
-(_parents_outside) with no modular inverse.  Stern-Brocot mediant descent,
-one step per mediant and so O(sqrt(a)) along the integer spine, is the
-independent oracle and lives in the tests.  sqrt_cf builds a whole period,
-which can have about sqrt(d) terms, and serves direct expansion queries
-only.
+(_parents_outside) with no modular inverse.  first_pair_between runs the
+same recursion from any (sqrt(x), sqrt(y)), for first_rational_between.
+Stern-Brocot mediant descent, one step per mediant and so O(sqrt(a)) along
+the integer spine, is the independent oracle and lives in the tests.
+sqrt_cf builds a whole period, which can have about sqrt(d) terms, and
+serves direct expansion queries only.
 """
 
 from __future__ import annotations
@@ -168,17 +168,23 @@ def first_pair_between(x_radicand: int, y_radicand: int) -> tuple[int, int]:
     return t, s
 
 
-def _first_pair_in_frame(a: int, n: int, b1: int) -> tuple[int, int, int, int]:
-    """(t, s, p, q) for (sqrt(a), sqrt(a+1)) with n^2 < a < (n+1)^2 - 1,
-    n = isqrt(a) and b1 = a - n^2 + 1: first_pair_between(a, a + 1) with
-    the last convergent p/q, one Stern-Brocot parent of t/s.
+def _first_pair_in_frame(a: int, n: int, b1: int, c: int) -> tuple[int, int, int, int]:
+    """(t, s, p, q) for (sqrt(a), sqrt(a+1)) with a >= 0 in its frame,
+    n = isqrt(a), b1 = a - n^2 + 1 and c = (n+1)^2 - a: first_pair_between(a,
+    a + 1) with the last convergent p/q, one Stern-Brocot parent of t/s.
 
-    Both roots lie strictly between n and n + 1, so the first level takes
-    the floor n and leaves the ends (n + sqrt(a+1))/b1 and
+    No integer lies inside, so the first level takes the floor n and leaves
+    the ends 1/(sqrt(a+1) - n) = (n + sqrt(a+1))/b1 and 1/(sqrt(a) - n) =
     (n + sqrt(a))/(b1 - 1) with the convergents n/1 and 1/0.  The descent
-    starts there, with no isqrt and no first level.
+    starts there, with no isqrt and no first level.  At a + 1 = (n+1)^2
+    (c = 1) the lower end is exactly 1/1, and at a = n^2 (b1 = 1) the upper
+    end is 1/0, +infinity; a = 0 is both, and gives 1/2 with parent 0/1.
     """
-    return _descend(n, b1, a + 1, n, n, b1 - 1, a, n, 1, 0, n, 1)
+    if b1 > 1 and c > 1:
+        return _descend(n, b1, a + 1, n, n, b1 - 1, a, n, 1, 0, n, 1)
+    lo = (n, b1, a + 1, n) if c > 1 else (1, 1, 0, 0)
+    hi = (n, b1 - 1, a, n) if b1 > 1 else (1, 0, 0, 0)
+    return _descend(*lo, *hi, 1, 0, n, 1)
 
 
 def first_rational_between(x_radicand: int, y_radicand: int) -> Fraction:

@@ -16,8 +16,8 @@ which exposes the exact bounding curves
 
 with sigma_1(a) <= sigma(a) <= isqrt(4a+2) + 1.
 
-sigma(a) is the denominator that confrac.first_pair_between finds in
-(sqrt(a), sqrt(a+1)), in O(log a) exact integer steps.
+sigma(a) is the denominator that confrac._first_pair_in_frame finds in
+(sqrt(a), sqrt(a+1)) from a's frame, in O(log a) exact integer steps.
 """
 
 from __future__ import annotations
@@ -26,12 +26,7 @@ from itertools import repeat
 from operator import mul, sub
 from typing import NamedTuple
 
-from .confrac import (
-    _first_pair_in_frame,
-    _parents_outside,
-    first_pair_between,
-    is_first_rational_between,
-)
+from .confrac import _first_pair_in_frame, _parents_outside
 from .exactmath import Surd, isqrt, surd_cmp
 
 __all__ = [
@@ -192,12 +187,14 @@ def sigma(a: int) -> int:
     """Least denominator s >= 2 such that some t/s squares into (a, a+1)."""
     if a < 0:
         raise ValueError("a must be >= 0")
-    return first_pair_between(a, a + 1)[1]
+    n = isqrt(a)
+    return _first_pair_in_frame(a, n, a - n * n + 1, (n + 1) ** 2 - a)[1]
 
 
 def certified_first_pair(a: int) -> tuple[int, int]:
     """The kernel's (t, s) for (a, a+1), once the Stern-Brocot certificate
-    has confirmed it; ConsistencyError otherwise.
+    has confirmed it; ConsistencyError otherwise.  One isqrt works out a's
+    frame for _certified_pair_in_frame.
 
     The certificate implies tau(a, s) = 1, so that is not tested again.
     It puts t/s inside, so tau(a, s) >= 1.  Both parents L < t/s < R lie
@@ -209,18 +206,16 @@ def certified_first_pair(a: int) -> tuple[int, int]:
     """
     if a < 0:
         raise ValueError("a must be >= 0")
-    t, s = first_pair_between(a, a + 1)
-    if not is_first_rational_between(a, a + 1, t, s):
-        raise ConsistencyError(f"sigma certificate failed at a={a}: t={t} s={s}")
-    return t, s
+    n = isqrt(a)
+    return _certified_pair_in_frame(a, n, a - n * n + 1, (n + 1) ** 2 - a)
 
 
-def _certified_pair_in_frame(a: int, n: int, b1: int) -> tuple[int, int]:
-    """certified_first_pair(a) for n^2 < a < (n+1)^2 - 1 in a's frame
-    (n = isqrt(a), b1 = b + 1): the kernel entered past its first level
-    (confrac._first_pair_in_frame), certified with the parent it hands back
-    in place of one worked out by gcd and a modular inverse."""
-    t, s, p, q = _first_pair_in_frame(a, n, b1)
+def _certified_pair_in_frame(a: int, n: int, b1: int, c: int) -> tuple[int, int]:
+    """certified_first_pair(a) in a's frame (n = isqrt(a), b1 = b + 1,
+    c = m^2 - a): the kernel entered past its first level
+    (confrac._first_pair_in_frame), certified with the parent it hands
+    back."""
+    t, s, p, q = _first_pair_in_frame(a, n, b1, c)
     if not _parents_outside(a, a + 1, t, s, p, q):
         raise ConsistencyError(f"sigma certificate failed at a={a}: t={t} s={s}")
     return t, s
@@ -268,6 +263,8 @@ def min_k(a: int, s: int | None = None) -> int:
         s = sigma(a)
     elif a < 0:
         raise ValueError("a must be >= 0")
+    elif s < 2:
+        raise ValueError("s must be >= 2, as sigma(a) is")
     n = isqrt(a)
     a1 = a + 1
     b1 = a1 - n * n

@@ -109,20 +109,20 @@ def test_sweep_validation():
 
 
 def test_sweep_record_rejects_inconsistent_rows(monkeypatch):
-    # at a = 19 (n = 4, b + 1 = 4): sigma_1 = 3, upper bound 9, and the
-    # kernel's pair is 22/5 between its parents 13/3 and 9/2
-    assert sigmacore._first_pair_in_frame(19, 4, 4) == (22, 5, 9, 2)
+    # at a = 19 (n = 4, b + 1 = 4, c = 6): sigma_1 = 3, upper bound 9, and
+    # the kernel's pair is 22/5 between its parents 13/3 and 9/2
+    assert sigmacore._first_pair_in_frame(19, 4, 4, 6) == (22, 5, 9, 2)
     with monkeypatch.context() as m:
         # outside, not coprime, inside but not first (22/5, one parent of
         # 35/8, lies inside too), and the right pair with a p/q that is no
         # parent of it
         for quad in [(9, 2, 4, 1), (44, 10, 22, 5), (23, 5, 9, 2), (35, 8, 13, 3),
                      (35, 8, 22, 5), (22, 5, 4, 1), (22, 5, 22, 5)]:
-            m.setattr(sigmacore, "_first_pair_in_frame", lambda a, n, b1, quad=quad: quad)
+            m.setattr(sigmacore, "_first_pair_in_frame", lambda a, n, b1, c, quad=quad: quad)
             with pytest.raises(ConsistencyError, match="sigma certificate failed at a=19"):
                 sweep(19, 19)
         # either parent certifies the right pair
-        m.setattr(sigmacore, "_first_pair_in_frame", lambda a, n, b1: (22, 5, 13, 3))
+        m.setattr(sigmacore, "_first_pair_in_frame", lambda a, n, b1, c: (22, 5, 13, 3))
         assert sweep(19, 19)[0].t_first == 22
     # a certified sigma = 5 below a lower bound of 6 breaks the row check
     with monkeypatch.context() as m:
@@ -133,7 +133,7 @@ def test_sweep_record_rejects_inconsistent_rows(monkeypatch):
     # forced through
     monkeypatch.setattr(sigmacore, "_parents_outside", lambda *pair: True)
     with monkeypatch.context() as m:
-        m.setattr(sigmacore, "_first_pair_in_frame", lambda a, n, b1: (44, 10, 0, 1))
+        m.setattr(sigmacore, "_first_pair_in_frame", lambda a, n, b1, c: (44, 10, 0, 1))
         with pytest.raises(ConsistencyError, match="bounds violated"):
             sweep(19, 19)
     # an off-bound sigma = 4 whose t/s is not inside (4, 5) leaves
@@ -147,15 +147,15 @@ def test_sweep_record_rejects_inconsistent_rows(monkeypatch):
     monkeypatch.setattr(sigmacore, "_top_floor", floor_of_positive_k)
     for t in (15, 16, 20, 21):
         with monkeypatch.context() as m:
-            m.setattr(sigmacore, "_first_pair_in_frame", lambda a, n, b1, t=t: (t, 4, 0, 1))
+            m.setattr(sigmacore, "_first_pair_in_frame", lambda a, n, b1, c, t=t: (t, 4, 0, 1))
             with pytest.raises(ConsistencyError, match="no curve index k <= 4 matches sigma"):
                 sweep(19, 19)
 
 
 def test_sweep_rows_count_their_work(monkeypatch):
-    # one kernel descent a row; inside an interval the kernel takes no
-    # isqrt, and a row takes one for its upper bound and, off the bound,
-    # two more for its sigma_k check
+    # one kernel descent a row, entered in a's frame with no isqrt, the
+    # rows at an interval's ends included; a row takes one isqrt for its
+    # upper bound and, off the bound, two more for its sigma_k check
     calls = Counter()
 
     def counted(name, f):
@@ -174,12 +174,18 @@ def test_sweep_rows_count_their_work(monkeypatch):
         seen = calls.copy()
         rows += 1
         assert work["descend"] == 1, a
-        n = isqrt(a)
-        if n * n < a < (n + 1) ** 2 - 1:
-            assert work["sqdenom.confrac"] == 0, a
-            assert work["sqdenom.sigmacore"] + work["sqdenom.analysis"] == (
-                1 if on_bound else 3), a
+        assert work["sqdenom.confrac"] == 0, a
+        # the walk's isqrt(a_from) falls in its first row
+        assert work["sqdenom.sigmacore"] + work["sqdenom.analysis"] == (
+            1 if on_bound else 3) + (a == 1), a
     assert rows == 2000
+    # a point query works out a's frame with one isqrt
+    for a in (0, 1, 3, 4, 8, 19, 991, 10**200, 10**200 + 2 * 10**100):
+        for query in (sigmacore.sigma, sigmacore.certified_first_pair):
+            calls.clear()
+            query(a)
+            assert calls["descend"] == 1 and calls["sqdenom.confrac"] == 0, (query, a)
+            assert calls["sqdenom.sigmacore"] == 1, (query, a)
 
 
 def test_tau_profile_shape(monkeypatch):

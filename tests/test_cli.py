@@ -41,8 +41,7 @@ def test_sigma_command_large_a(capsys):
 def test_consistency_failures_exit_four(capsys, monkeypatch, tmp_path):
     # offbound, kset and every figure read certified sweep rows too
     with monkeypatch.context() as m:
-        m.setattr(sigmacore, "first_pair_between", lambda x, y: (850, 28))
-        m.setattr(sigmacore, "_first_pair_in_frame", lambda a, n, b1: (850, 28, 0, 1))
+        m.setattr(sigmacore, "_first_pair_in_frame", lambda a, n, b1, c: (850, 28, 0, 1))
         for argv in (("sigma", "991"), ("first-square", "991"),
                      ("sweep", "--from", "19", "--to", "19"),
                      ("analyze", "offbound", "--n-from", "7", "--n-to", "7"),
@@ -58,17 +57,27 @@ def test_consistency_failures_exit_four(capsys, monkeypatch, tmp_path):
             code, out, err = run(capsys, "figures", "--out-dir", str(tmp_path))
         assert (code, out) == (4, ""), bad
         assert err == f"internal error: sigma certificate failed at a={bad}: t=850 s=28\n"
+    # the right pair t/s with itself as its parent, at a = 0 (both ends of
+    # the frame rational), a = 4 = n^2 and a = 8 = m^2 - 1
+    for a, t, s in ((0, 1, 2), (4, 11, 5), (8, 17, 6)):
+        with monkeypatch.context() as m:
+            m.setattr(sigmacore, "_first_pair_in_frame",
+                      lambda a, n, b1, c, t=t, s=s: (t, s, t, s))
+            for command in ("sigma", "first-square"):
+                code, out, err = run(capsys, command, str(a))
+                assert (code, out) == (4, ""), (command, a)
+                assert err == f"internal error: sigma certificate failed at a={a}: t={t} s={s}\n"
     # a sigma on no curve leaves min_k without an index: at a = 2,
     # sigma_1 = 2 <= 3 <= 4 = upper passes the bounds check, but the curves
     # give 2, 4, 6 at k = 1, 2, 3
     with monkeypatch.context() as m:
-        m.setattr(analysis, "_certified_pair_in_frame", lambda a, n, b1: (5, 3))
+        m.setattr(analysis, "_certified_pair_in_frame", lambda a, n, b1, c: (5, 3))
         code, out, err = run(capsys, "sweep", "--from", "2", "--to", "2")
     assert (code, out) == (4, "")
     assert err.startswith("internal error: no curve index") and err.count("\n") == 1
     # k_set reads the same rows and keeps the same guarantee: at a = 5,
     # sigma_1 = 3 <= 4 <= 5 = upper passes, but the curves give 3, 5, 7
-    monkeypatch.setattr(analysis, "_certified_pair_in_frame", lambda a, n, b1: (9, 4))
+    monkeypatch.setattr(analysis, "_certified_pair_in_frame", lambda a, n, b1, c: (9, 4))
     code, out, err = run(capsys, "analyze", "kset", "--n", "2")
     assert (code, out) == (4, "")
     assert err.startswith("internal error: no curve index") and err.count("\n") == 1
@@ -488,15 +497,12 @@ def _no_children_left():
 
 
 def _fault_at(monkeypatch, *bad):
-    """A kernel that answers (850, 28) at each a in bad, from its general
-    entry and from the one in a's frame, which the sweep's certificate
-    rejects."""
-    kernel, in_frame = sigmacore.first_pair_between, sigmacore._first_pair_in_frame
-    monkeypatch.setattr(
-        sigmacore, "first_pair_between", lambda x, y: (850, 28) if x in bad else kernel(x, y))
+    """A kernel that answers (850, 28) at each a in bad, which the sweep's
+    certificate rejects."""
+    in_frame = sigmacore._first_pair_in_frame
     monkeypatch.setattr(
         sigmacore, "_first_pair_in_frame",
-        lambda a, n, b1: (850, 28, 0, 1) if a in bad else in_frame(a, n, b1))
+        lambda a, n, b1, c: (850, 28, 0, 1) if a in bad else in_frame(a, n, b1, c))
 
 
 def test_split_sweep_writes_the_serial_bytes(capsys, monkeypatch):

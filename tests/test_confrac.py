@@ -234,25 +234,32 @@ def test_parents_outside_certifies_only_the_first_rational():
             assert _parents_outside(x, y, t, s, t - a, s - b), (x, y)
 
 
-# a strictly inside a square interval n^2 < a < (n+1)^2 - 1, up to 10^300
-_inside_a = st.builds(
-    lambda n, f: n * n + 1 + f % (2 * n - 1),
-    st.one_of(st.integers(min_value=1, max_value=1000),
-              st.integers(min_value=1, max_value=10**150)),
-    st.integers(min_value=0, max_value=10**150),
+# every a >= 0 up to 10^300, half of them at the edges n^2 + {0, 1, n - 1,
+# n, 2n} of a square interval
+_frame_a = st.one_of(
+    st.integers(min_value=0, max_value=10**300),
+    st.builds(lambda n, e: n * n + (0, 1, n - 1, n, 2 * n)[e],
+              st.one_of(st.integers(min_value=1, max_value=1000),
+                        st.integers(min_value=1, max_value=10**150)),
+              st.integers(min_value=0, max_value=4)),
 )
 
 
 @settings(max_examples=300, deadline=None)
-@given(_inside_a)
+@given(_frame_a)
+@example(0)  # both ends rational: 1/1 below, 1/0 above
+@example(1)  # a = n^2, the upper end 1/0
 @example(2)  # n = 1, b = 1
+@example(3)  # a + 1 = m^2, the lower end 1/1
+@example(10**200)  # a = n^2
 @example(10**200 + 1)  # b = 1
 @example(10**200 + 2 * 10**100 - 1)  # a + 1 = m^2 - 1
+@example(10**200 + 2 * 10**100)  # a + 1 = m^2
 def test_kernel_in_frame_hands_back_a_parent(a):
     # entered past its first level, the kernel finds the general entry's
     # pair, and its last convergent is one parent: both parents certify it
     n = isqrt(a)
-    t, s, p, q = _first_pair_in_frame(a, n, a - n * n + 1)
+    t, s, p, q = _first_pair_in_frame(a, n, a - n * n + 1, (n + 1) ** 2 - a)
     assert (t, s) == first_pair_between(a, a + 1), a
     assert t * q - s * p in (1, -1) and 0 <= q <= s, a
     assert _parents_outside(a, a + 1, t, s, p, q), a

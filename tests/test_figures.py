@@ -38,20 +38,15 @@ def test_figure_bytes_are_pinned(tmp_path):
 
 def test_figures_certify_each_a_once(tmp_path, monkeypatch):
     # fig1, fig2 and fig6 read one sweep of 1..2000, and fig5 sweeps its own
-    # 202 a: 2,202 certified rows, where sweeping 1..500 twice made 2,702
-    # on either route: the general one, or the kernel entered in a's frame
+    # 202 a: 2,202 certified rows, where sweeping 1..500 twice made 2,702;
+    # every row enters the kernel in a's frame
     calls = []
-    certify, in_frame = analysis.certified_first_pair, analysis._certified_pair_in_frame
+    in_frame = analysis._certified_pair_in_frame
 
-    def counted(a):
+    def counted_in_frame(a, n, b1, c):
         calls.append(a)
-        return certify(a)
+        return in_frame(a, n, b1, c)
 
-    def counted_in_frame(a, n, b1):
-        calls.append(a)
-        return in_frame(a, n, b1)
-
-    monkeypatch.setattr(analysis, "certified_first_pair", counted)
     monkeypatch.setattr(analysis, "_certified_pair_in_frame", counted_in_frame)
     generate_figures(tmp_path)
     assert len(calls) == len(set(calls)) == 2202

@@ -261,6 +261,17 @@ def test_min_k_accepts_known_sigma():
         assert min_k(a, sigma(a)) == min_k(a), a
 
 
+def test_min_k_refuses_a_sigma_below_two():
+    # sigma(a) >= 2 for every a >= 0, so a smaller s is the caller's bad
+    # argument, not a library defect
+    for s in (1, 0, -3):
+        with pytest.raises(ValueError, match="s must be >= 2"):
+            min_k(5, s)
+    with pytest.raises(ValueError, match="a must be >= 0"):
+        min_k(-1, 1)
+    assert min_k(5, 3) == 1
+
+
 def test_min_k_is_minimal():
     for a in range(0, 201):
         k = min_k(a)
@@ -457,16 +468,17 @@ def test_pair_curve_index_matches_the_closed_form(a):
 
 @settings(max_examples=400, deadline=None)
 @given(_pair_a)
+@example(0)  # both ends of the frame rational
 @example(1)
 @example(10**200 - 1)  # a + 1 = m^2
 def test_certified_pairs_have_one_witness(a):
-    # the certificate implies tau(a, s) = 1 (certified_first_pair), so
-    # neither route tests it: this checks it for each
+    # the certificate implies tau(a, s) = 1 (certified_first_pair), so it
+    # is not tested at run time: this checks it, for the point query and
+    # the sweep rows' entry in a's frame
     t, s = certified_first_pair(a)
     assert tau(a, s) == 1 and t_set(a, s) == [t], a
     dc = decompose(a)
-    if 0 < dc.b < 2 * dc.n:
-        assert sigmacore._certified_pair_in_frame(a, dc.n, dc.b + 1) == (t, s), a
+    assert sigmacore._certified_pair_in_frame(a, dc.n, dc.b + 1, dc.c) == (t, s), a
 
 
 def test_zero_windows_step_down_from_k_max(monkeypatch):
