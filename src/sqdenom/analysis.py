@@ -80,7 +80,7 @@ def _sweep_rows(a_from: int, a_to: int):
         for a in range(lo, min(mm, a_to + 1)):
             b1 = a + b0
             c = mm - a
-            t, s = _certified_pair_in_frame(a, n, b1, c)
+            t, s = _certified_pair_in_frame(a, n, b1)
             s1 = _top_floor(1, n, n, m if c == 1 else n, b1, c) + 1
             upper = isqrt(4 * a + 2) + 1  # sigma_upper(a)
             if not s1 <= s <= upper:

@@ -4,25 +4,26 @@ sqrt(d) has the periodic expansion [a0; p1, ..., pk, p1, ...] computed by the
 classical (m, den) recurrence; the period ends at the first partial quotient
 equal to 2*a0.
 
-_first_pair_in_frame is the one runtime route to the first rational in
-(sqrt(a), sqrt(a+1)): given a's frame, n = isqrt(a), it enters the
-simplest-rational recursion past its first level, as no integer lies
-inside.  The recursion: if the least integer above the lower end lies
-below the upper end, that integer is the answer; otherwise both ends share
-their integer part, which becomes the next partial quotient, and the search
-continues on the reciprocals of the fractional parts.  Each endpoint stays
-an exact (p + sqrt(d))/r, with d = 0 for a rational end, so every level
-costs one floor and one exact sign test on integers of O(log d) bits.
-Convergent denominators grow at least like Fibonacci numbers, so the depth
-is O(log s); for (sqrt(a), sqrt(a+1)) that is O(log a), and 2-3 levels on
-the families n^2, n^2-1, n^2+n-1 and n^2+7.  It takes back the last
-convergent too, one Stern-Brocot parent of the answer, which certifies it
-(_parents_outside) with no modular inverse.  first_pair_between runs the
-same recursion from any (sqrt(x), sqrt(y)), for first_rational_between.
-Stern-Brocot mediant descent, one step per mediant and so O(sqrt(a)) along
-the integer spine, is the independent oracle and lives in the tests.
-sqrt_cf builds a whole period, which can have about sqrt(d) terms, and
-serves direct expansion queries only.
+_first_pair_in_frame is the one route to the first rational in an interval
+(sqrt(x), sqrt(y)) with no integer inside: given the floor n = isqrt(x)
+that both roots share, it enters the simplest-rational recursion past its
+first level.  sigma and every sweep row enter it with (x, y) = (a, a+1),
+and first_rational_between whenever n + 1 lies outside.  The recursion: if
+the least integer above the lower end lies below the upper end, that
+integer is the answer; otherwise both ends share their integer part, which
+becomes the next partial quotient, and the search continues on the
+reciprocals of the fractional parts.  Each endpoint stays an exact
+(p + sqrt(d))/r, with d = 0 for a rational end, so every level costs one
+floor and one exact sign test on integers of O(log d) bits.  Convergent
+denominators grow at least like Fibonacci numbers, so the depth is
+O(log s); for (sqrt(a), sqrt(a+1)) that is O(log a), and 2-3 levels on the
+families n^2, n^2-1, n^2+n-1 and n^2+7.  It takes back the last convergent
+too, one Stern-Brocot parent of the answer, which certifies it
+(_parents_outside) with no modular inverse.  Stern-Brocot mediant descent,
+one step per mediant and so O(sqrt(a)) along the integer spine, is the
+independent oracle and lives in the tests.  sqrt_cf builds a whole period,
+which can have about sqrt(d) terms, and serves direct expansion queries
+only.
 """
 
 from __future__ import annotations
@@ -146,45 +147,42 @@ def first_pair_between(x_radicand: int, y_radicand: int) -> tuple[int, int]:
     """(t, s) with t/s the smallest-denominator rational in (sqrt(x), sqrt(y)).
 
     Denominator ties (possible only among integers) resolve to the smaller
-    numerator.  t and s are coprime.  Every floor is isqrt arithmetic and
-    every comparison an exact sign test, so no float is consulted.
+    numerator.  t and s are coprime.  One isqrt gives n = isqrt(x): n + 1
+    is the answer if it lies inside, and otherwise the kernel is entered in
+    n's frame.  Every floor is isqrt arithmetic and every comparison an
+    exact sign test, so no float is consulted.
     """
-    dx, dy = x_radicand, y_radicand
-    if dx < 0 or dy < 0:
+    x, y = x_radicand, y_radicand
+    if x < 0 or y < 0:
         raise ValueError("radicands must be nonnegative")
-    if dx >= dy:
+    if x >= y:
         raise ValueError("empty interval: need x < y")
-    # each end is (p + sqrt(d))/r, held as four ints p, r, d, u = isqrt(d),
-    # here sqrt(d)/1; a perfect square folds into the rational
-    # (root, 1, 0, 0), so a nonzero d always carries an irrational root
-    lu, hu = isqrt(dx), isqrt(dy)
-    lp = hp = 0
-    if lu * lu == dx:
-        lp, dx, lu = lu, 0, 0
-    if hu * hu == dy:
-        hp, dy, hu = hu, 0, 0
-    # convergent recurrence seeds: t_{-2}/s_{-2} = 0/1, t_{-1}/s_{-1} = 1/0
-    t, s, _, _ = _descend(lp, 1, dx, lu, hp, 1, dy, hu, 0, 1, 1, 0)
-    return t, s
+    n = isqrt(x)
+    m = n + 1
+    if m * m < y:  # m is the least integer above sqrt(x)
+        return m, 1
+    nn = n * n
+    return _first_pair_in_frame(x, y, n, x - nn, y - nn)[:2]
 
 
-def _first_pair_in_frame(a: int, n: int, b1: int, c: int) -> tuple[int, int, int, int]:
-    """(t, s, p, q) for (sqrt(a), sqrt(a+1)) with a >= 0 in its frame,
-    n = isqrt(a), b1 = a - n^2 + 1 and c = (n+1)^2 - a: first_pair_between(a,
-    a + 1) with the last convergent p/q, one Stern-Brocot parent of t/s.
+def _first_pair_in_frame(x: int, y: int, n: int, rx: int, ry: int) -> tuple[int, int, int, int]:
+    """(t, s, p, q) for (sqrt(x), sqrt(y)) with n = isqrt(x) and
+    x < y <= (n+1)^2, in the frame rx = x - n^2, ry = y - n^2: the first
+    rational t/s and the last convergent p/q, one Stern-Brocot parent of it.
 
     No integer lies inside, so the first level takes the floor n and leaves
-    the ends 1/(sqrt(a+1) - n) = (n + sqrt(a+1))/b1 and 1/(sqrt(a) - n) =
-    (n + sqrt(a))/(b1 - 1) with the convergents n/1 and 1/0.  The descent
-    starts there, with no isqrt and no first level.  At a + 1 = (n+1)^2
-    (c = 1) the lower end is exactly 1/1, and at a = n^2 (b1 = 1) the upper
-    end is 1/0, +infinity; a = 0 is both, and gives 1/2 with parent 0/1.
+    the ends 1/(sqrt(y) - n) = (n + sqrt(y))/ry and 1/(sqrt(x) - n) =
+    (n + sqrt(x))/rx with the convergents n/1 and 1/0.  The descent starts
+    there, with no isqrt and no first level.  At y = (n+1)^2 (ry = 2n + 1)
+    the lower end is exactly 1/1, and at x = n^2 (rx = 0) the upper end is
+    1/0, +infinity; (0, 1) is both, and gives 1/2 with parent 0/1.
     """
-    if b1 > 1 and c > 1:
-        return _descend(n, b1, a + 1, n, n, b1 - 1, a, n, 1, 0, n, 1)
-    lo = (n, b1, a + 1, n) if c > 1 else (1, 1, 0, 0)
-    hi = (n, b1 - 1, a, n) if b1 > 1 else (1, 0, 0, 0)
-    return _descend(*lo, *hi, 1, 0, n, 1)
+    lp = lu = hp = hu = n
+    if ry > n + n:  # y = (n+1)^2: the lower end is 1/1
+        lp, ry, y, lu = 1, 1, 0, 0
+    if not rx:  # x = n^2: the upper end is 1/0
+        hp, x, hu = 1, 0, 0
+    return _descend(lp, ry, y, lu, hp, rx, x, hu, 1, 0, n, 1)
 
 
 def first_rational_between(x_radicand: int, y_radicand: int) -> Fraction:

@@ -16,8 +16,9 @@ which exposes the exact bounding curves
 
 with sigma_1(a) <= sigma(a) <= isqrt(4a+2) + 1.
 
-sigma(a) is the denominator that confrac._first_pair_in_frame finds in
-(sqrt(a), sqrt(a+1)) from a's frame, in O(log a) exact integer steps.
+sigma(a) is the denominator that confrac._first_pair_in_frame, the kernel
+entry of every interval, finds in (sqrt(a), sqrt(a+1)) from a's frame, in
+O(log a) exact integer steps.
 """
 
 from __future__ import annotations
@@ -188,7 +189,8 @@ def sigma(a: int) -> int:
     if a < 0:
         raise ValueError("a must be >= 0")
     n = isqrt(a)
-    return _first_pair_in_frame(a, n, a - n * n + 1, (n + 1) ** 2 - a)[1]
+    b = a - n * n
+    return _first_pair_in_frame(a, a + 1, n, b, b + 1)[1]
 
 
 def certified_first_pair(a: int) -> tuple[int, int]:
@@ -207,16 +209,15 @@ def certified_first_pair(a: int) -> tuple[int, int]:
     if a < 0:
         raise ValueError("a must be >= 0")
     n = isqrt(a)
-    return _certified_pair_in_frame(a, n, a - n * n + 1, (n + 1) ** 2 - a)
+    return _certified_pair_in_frame(a, n, a - n * n + 1)
 
 
-def _certified_pair_in_frame(a: int, n: int, b1: int, c: int) -> tuple[int, int]:
-    """certified_first_pair(a) in a's frame (n = isqrt(a), b1 = b + 1,
-    c = m^2 - a): the kernel entered past its first level
-    (confrac._first_pair_in_frame), certified with the parent it hands
-    back."""
-    t, s, p, q = _first_pair_in_frame(a, n, b1, c)
-    if not _parents_outside(a, a + 1, t, s, p, q):
+def _certified_pair_in_frame(a: int, n: int, b1: int) -> tuple[int, int]:
+    """certified_first_pair(a) in a's frame, n = isqrt(a) and b1 = b + 1:
+    the kernel's pair, certified with the parent it hands back."""
+    a1 = a + 1
+    t, s, p, q = _first_pair_in_frame(a, a1, n, b1 - 1, b1)
+    if not _parents_outside(a, a1, t, s, p, q):
         raise ConsistencyError(f"sigma certificate failed at a={a}: t={t} s={s}")
     return t, s
 
@@ -244,7 +245,8 @@ def on_bound_criterion(a: int) -> bool:
 
 
 def min_k(a: int, s: int | None = None) -> int:
-    """The one k >= 1 with sigma_k(a) = sigma(a); pass s = sigma(a) if known.
+    """The one k >= 1 with sigma_k(a) = sigma(a); s, if passed, must be
+    sigma(a), as one kernel call checks (ValueError otherwise).
 
     sigma_k strictly increases in k (see sigma_k), so the first match is the
     only one, and sigma_k >= k+1 bounds the walk by sigma(a).  The walk
@@ -259,22 +261,19 @@ def min_k(a: int, s: int | None = None) -> int:
     O(k) scan of its own, which would never finish on the k of about
     4*10^24 that the closed form returns at a near 10^50.
     """
-    if s is None:
-        s = sigma(a)
-    elif a < 0:
-        raise ValueError("a must be >= 0")
-    elif s < 2:
-        raise ValueError("s must be >= 2, as sigma(a) is")
+    sig = sigma(a)
+    if s not in (None, sig):
+        raise ValueError(f"s = {s} is not sigma({a}) = {sig}")
     n = isqrt(a)
     a1 = a + 1
     b1 = a1 - n * n
     c = (n + 1) ** 2 - a
-    j = s - 1  # sigma_k(a) = s iff the larger floor is s - 1
-    for k in range(1, s + 1):
+    j = sig - 1  # sigma_k(a) = sig iff the larger floor is sig - 1
+    for k in range(1, sig + 1):
         kk = k * k
         if _top_floor(k, n, isqrt(kk * a), isqrt(kk * a1), b1, c) == j:
             return k
-    raise ConsistencyError(f"no curve index k <= {s} matches sigma({a})")
+    raise ConsistencyError(f"no curve index k <= {sig} matches sigma({a})")
 
 
 def _pair_curve_index(a: int, t: int, s: int, n: int, b1: int, c: int) -> int:

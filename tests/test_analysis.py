@@ -109,20 +109,20 @@ def test_sweep_validation():
 
 
 def test_sweep_record_rejects_inconsistent_rows(monkeypatch):
-    # at a = 19 (n = 4, b + 1 = 4, c = 6): sigma_1 = 3, upper bound 9, and
+    # at a = 19 (n = 4, b = 3, c = 6): sigma_1 = 3, upper bound 9, and
     # the kernel's pair is 22/5 between its parents 13/3 and 9/2
-    assert sigmacore._first_pair_in_frame(19, 4, 4, 6) == (22, 5, 9, 2)
+    assert sigmacore._first_pair_in_frame(19, 20, 4, 3, 4) == (22, 5, 9, 2)
     with monkeypatch.context() as m:
         # outside, not coprime, inside but not first (22/5, one parent of
         # 35/8, lies inside too), and the right pair with a p/q that is no
         # parent of it
         for quad in [(9, 2, 4, 1), (44, 10, 22, 5), (23, 5, 9, 2), (35, 8, 13, 3),
                      (35, 8, 22, 5), (22, 5, 4, 1), (22, 5, 22, 5)]:
-            m.setattr(sigmacore, "_first_pair_in_frame", lambda a, n, b1, c, quad=quad: quad)
+            m.setattr(sigmacore, "_first_pair_in_frame", lambda x, y, n, rx, ry, quad=quad: quad)
             with pytest.raises(ConsistencyError, match="sigma certificate failed at a=19"):
                 sweep(19, 19)
         # either parent certifies the right pair
-        m.setattr(sigmacore, "_first_pair_in_frame", lambda a, n, b1, c: (22, 5, 13, 3))
+        m.setattr(sigmacore, "_first_pair_in_frame", lambda x, y, n, rx, ry: (22, 5, 13, 3))
         assert sweep(19, 19)[0].t_first == 22
     # a certified sigma = 5 below a lower bound of 6 breaks the row check
     with monkeypatch.context() as m:
@@ -133,7 +133,7 @@ def test_sweep_record_rejects_inconsistent_rows(monkeypatch):
     # forced through
     monkeypatch.setattr(sigmacore, "_parents_outside", lambda *pair: True)
     with monkeypatch.context() as m:
-        m.setattr(sigmacore, "_first_pair_in_frame", lambda a, n, b1, c: (44, 10, 0, 1))
+        m.setattr(sigmacore, "_first_pair_in_frame", lambda x, y, n, rx, ry: (44, 10, 0, 1))
         with pytest.raises(ConsistencyError, match="bounds violated"):
             sweep(19, 19)
     # an off-bound sigma = 4 whose t/s is not inside (4, 5) leaves
@@ -147,7 +147,7 @@ def test_sweep_record_rejects_inconsistent_rows(monkeypatch):
     monkeypatch.setattr(sigmacore, "_top_floor", floor_of_positive_k)
     for t in (15, 16, 20, 21):
         with monkeypatch.context() as m:
-            m.setattr(sigmacore, "_first_pair_in_frame", lambda a, n, b1, c, t=t: (t, 4, 0, 1))
+            m.setattr(sigmacore, "_first_pair_in_frame", lambda x, y, n, rx, ry, t=t: (t, 4, 0, 1))
             with pytest.raises(ConsistencyError, match="no curve index k <= 4 matches sigma"):
                 sweep(19, 19)
 

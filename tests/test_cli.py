@@ -41,7 +41,7 @@ def test_sigma_command_large_a(capsys):
 def test_consistency_failures_exit_four(capsys, monkeypatch, tmp_path):
     # offbound, kset and every figure read certified sweep rows too
     with monkeypatch.context() as m:
-        m.setattr(sigmacore, "_first_pair_in_frame", lambda a, n, b1, c: (850, 28, 0, 1))
+        m.setattr(sigmacore, "_first_pair_in_frame", lambda x, y, n, rx, ry: (850, 28, 0, 1))
         for argv in (("sigma", "991"), ("first-square", "991"),
                      ("sweep", "--from", "19", "--to", "19"),
                      ("analyze", "offbound", "--n-from", "7", "--n-to", "7"),
@@ -62,7 +62,7 @@ def test_consistency_failures_exit_four(capsys, monkeypatch, tmp_path):
     for a, t, s in ((0, 1, 2), (4, 11, 5), (8, 17, 6)):
         with monkeypatch.context() as m:
             m.setattr(sigmacore, "_first_pair_in_frame",
-                      lambda a, n, b1, c, t=t, s=s: (t, s, t, s))
+                      lambda x, y, n, rx, ry, t=t, s=s: (t, s, t, s))
             for command in ("sigma", "first-square"):
                 code, out, err = run(capsys, command, str(a))
                 assert (code, out) == (4, ""), (command, a)
@@ -71,13 +71,13 @@ def test_consistency_failures_exit_four(capsys, monkeypatch, tmp_path):
     # sigma_1 = 2 <= 3 <= 4 = upper passes the bounds check, but the curves
     # give 2, 4, 6 at k = 1, 2, 3
     with monkeypatch.context() as m:
-        m.setattr(analysis, "_certified_pair_in_frame", lambda a, n, b1, c: (5, 3))
+        m.setattr(analysis, "_certified_pair_in_frame", lambda a, n, b1: (5, 3))
         code, out, err = run(capsys, "sweep", "--from", "2", "--to", "2")
     assert (code, out) == (4, "")
     assert err.startswith("internal error: no curve index") and err.count("\n") == 1
     # k_set reads the same rows and keeps the same guarantee: at a = 5,
     # sigma_1 = 3 <= 4 <= 5 = upper passes, but the curves give 3, 5, 7
-    monkeypatch.setattr(analysis, "_certified_pair_in_frame", lambda a, n, b1, c: (9, 4))
+    monkeypatch.setattr(analysis, "_certified_pair_in_frame", lambda a, n, b1: (9, 4))
     code, out, err = run(capsys, "analyze", "kset", "--n", "2")
     assert (code, out) == (4, "")
     assert err.startswith("internal error: no curve index") and err.count("\n") == 1
@@ -502,7 +502,7 @@ def _fault_at(monkeypatch, *bad):
     in_frame = sigmacore._first_pair_in_frame
     monkeypatch.setattr(
         sigmacore, "_first_pair_in_frame",
-        lambda a, n, b1, c: (850, 28, 0, 1) if a in bad else in_frame(a, n, b1, c))
+        lambda x, y, n, rx, ry: (850, 28, 0, 1) if x in bad else in_frame(x, y, n, rx, ry))
 
 
 def test_split_sweep_writes_the_serial_bytes(capsys, monkeypatch):

@@ -1,5 +1,7 @@
 """Continued fractions and minimal-denominator search, cross-checked two ways."""
 
+import sys
+from collections import Counter
 from fractions import Fraction
 from math import isqrt
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sqdenom import analysis, confrac, sigmacore
 from sqdenom.confrac import (
     CFExpansion,
     _first_pair_in_frame,
@@ -179,8 +182,15 @@ _huge_intervals = st.one_of(
 )
 
 
+_N = 10**150  # the branch edges of the kernel's entry at about 10^300
+
+
 @settings(max_examples=300, deadline=None)
 @given(_huge_intervals)
+@example((_N * _N, (_N + 1) ** 2))  # both ends rational: (2n + 1)/2
+@example((_N * _N + 5, (_N + 1) ** 2))  # the lower end 1/1
+@example((_N * _N + 5, (_N + 1) ** 2 + 1))  # the integer n + 1 inside
+@example((0, 1))
 def test_kernel_matches_run_length_descent(interval):
     x, y = interval
     assert first_pair_between(x, y) == run_length_first_pair(x, y), (x, y)
@@ -191,6 +201,8 @@ def test_kernel_edge_intervals():
     assert first_pair_between(0, 2) == (1, 1)
     assert first_pair_between(4, 9) == (5, 2)
     assert first_pair_between(1, 16) == (2, 1)
+    assert first_pair_between(_N * _N, (_N + 1) ** 2) == (2 * _N + 1, 2)
+    assert first_pair_between(_N * _N + 5, (_N + 1) ** 2 + 1) == (_N + 1, 1)
     for bad in [(5, 5), (9, 2), (-1, 4), (0, -1)]:
         with pytest.raises(ValueError):
             first_pair_between(*bad)
@@ -245,23 +257,87 @@ _frame_a = st.one_of(
 )
 
 
+def _frame_interval(n, u, v):
+    """(x, y) with n^2 <= x < y <= (n+1)^2 from any offsets u and v."""
+    u %= 2 * n + 1
+    return n * n + u, n * n + u + 1 + v % (2 * n + 1 - u)
+
+
+# as u, offset 0 puts x at n^2; as v, -1 puts y at (n+1)^2
+_offsets = st.one_of(st.sampled_from((0, 1, -1)), st.integers(min_value=0, max_value=10**301))
+# every interval with no integer inside, up to 10^300: (a, a + 1), or
+# any x < y in one frame n^2 <= x < y <= (n+1)^2
+_frame_intervals = st.one_of(
+    _frame_a.map(lambda a: (a, a + 1)),
+    st.builds(_frame_interval,
+              st.one_of(st.integers(min_value=0, max_value=1000),
+                        st.integers(min_value=0, max_value=10**150)),
+              _offsets, _offsets),
+)
+
+
 @settings(max_examples=300, deadline=None)
-@given(_frame_a)
-@example(0)  # both ends rational: 1/1 below, 1/0 above
-@example(1)  # a = n^2, the upper end 1/0
-@example(2)  # n = 1, b = 1
-@example(3)  # a + 1 = m^2, the lower end 1/1
-@example(10**200)  # a = n^2
-@example(10**200 + 1)  # b = 1
-@example(10**200 + 2 * 10**100 - 1)  # a + 1 = m^2 - 1
-@example(10**200 + 2 * 10**100)  # a + 1 = m^2
-def test_kernel_in_frame_hands_back_a_parent(a):
-    # entered past its first level, the kernel finds the general entry's
-    # pair, and its last convergent is one parent: both parents certify it
-    n = isqrt(a)
-    t, s, p, q = _first_pair_in_frame(a, n, a - n * n + 1, (n + 1) ** 2 - a)
-    assert (t, s) == first_pair_between(a, a + 1), a
-    assert t * q - s * p in (1, -1) and 0 <= q <= s, a
-    assert _parents_outside(a, a + 1, t, s, p, q), a
-    assert _parents_outside(a, a + 1, t, s, t - p, s - q), a
-    assert not _parents_outside(a, a + 1, t + 1, s, p, q), a
+@given(_frame_intervals)
+@example((0, 1))  # both ends rational: 1/1 below, 1/0 above
+@example((1, 2))  # x = n^2, the upper end 1/0
+@example((2, 3))  # n = 1, b = 1
+@example((3, 4))  # y = m^2, the lower end 1/1
+@example((5, 7))  # n = 2, both ends irrational
+@example((4, 9))  # the whole frame: 5/2
+@example((10**200, 10**200 + 1))  # x = n^2
+@example((10**200 + 1, 10**200 + 2))  # b = 1
+@example((10**200 + 2 * 10**100 - 1, 10**200 + 2 * 10**100))  # y = m^2 - 1
+@example((10**200 + 2 * 10**100, 10**200 + 2 * 10**100 + 1))  # y = m^2
+@example((10**200 + 3, 10**200 + 2 * 10**100 + 1))  # 1/1 below, x inside
+def test_kernel_in_frame_hands_back_a_parent(interval):
+    # entered past its first level, the kernel finds the run-length
+    # oracle's pair, and its last convergent is one parent: both parents
+    # certify it
+    x, y = interval
+    n = isqrt(x)
+    assert x < y <= (n + 1) ** 2, interval
+    t, s, p, q = _first_pair_in_frame(x, y, n, x - n * n, y - n * n)
+    assert (t, s) == run_length_first_pair(x, y), interval
+    assert t * q - s * p in (1, -1) and 0 <= q <= s, interval
+    assert _parents_outside(x, y, t, s, p, q), interval
+    assert _parents_outside(x, y, t, s, t - p, s - q), interval
+    assert not _parents_outside(x, y, t + 1, s, p, q), interval
+
+
+def test_first_rational_between_counts_its_work(monkeypatch):
+    # one isqrt, for the floor n of sqrt(x), and one descent, or none when
+    # n + 1 lies inside; and every descent the kernel's callers start comes
+    # from one call site, in _first_pair_in_frame
+    calls = Counter()
+    sites = set()
+    descend = confrac._descend
+
+    def counted_descend(*args):
+        caller = sys._getframe(1)
+        sites.add((caller.f_code.co_name, caller.f_lineno))
+        calls["descend"] += 1
+        return descend(*args)
+
+    def counted_isqrt(v):
+        calls["isqrt"] += 1
+        return isqrt(v)
+
+    monkeypatch.setattr(confrac, "isqrt", counted_isqrt)
+    monkeypatch.setattr(confrac, "_descend", counted_descend)
+    n = _N
+    cases = [(x, y) for y in range(1, 61) for x in range(y)] + [
+        (n * n, (n + 1) ** 2), (n * n + 5, (n + 1) ** 2), (n * n + 5, (n + 1) ** 2 + 1),
+        (n * n - 1, n * n), (n * n, n * n + 1), (n * n + 7, n * n + 8)]
+    for x, y in cases:
+        calls.clear()
+        first_rational_between(x, y)
+        assert calls["isqrt"] == 1, (x, y)
+        assert calls["descend"] == (0 if (isqrt(x) + 1) ** 2 < y else 1), (x, y)
+    for a in list(range(200)) + [n * n + e for e in (-1, 0, 1, n - 1, n, 2 * n)]:
+        sigmacore.sigma(a)
+        sigmacore.certified_first_pair(a)
+    for a in range(200):
+        sigmacore.min_k(a)
+    list(analysis._sweep_rows(1, 300))
+    list(analysis._sweep_rows(n * n - 2, n * n + 2))
+    assert len(sites) == 1 and {name for name, _ in sites} == {"_first_pair_in_frame"}, sites

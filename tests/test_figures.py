@@ -43,9 +43,9 @@ def test_figures_certify_each_a_once(tmp_path, monkeypatch):
     calls = []
     in_frame = analysis._certified_pair_in_frame
 
-    def counted_in_frame(a, n, b1, c):
+    def counted_in_frame(a, n, b1):
         calls.append(a)
-        return in_frame(a, n, b1, c)
+        return in_frame(a, n, b1)
 
     monkeypatch.setattr(analysis, "_certified_pair_in_frame", counted_in_frame)
     generate_figures(tmp_path)

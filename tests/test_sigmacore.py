@@ -263,10 +263,11 @@ def test_min_k_accepts_known_sigma():
 
 def test_min_k_refuses_a_sigma_below_two():
     # sigma(a) >= 2 for every a >= 0, so a smaller s is the caller's bad
-    # argument, not a library defect
-    for s in (1, 0, -3):
-        with pytest.raises(ValueError, match="s must be >= 2"):
-            min_k(5, s)
+    # argument, not a library defect; so is any s >= 2 other than sigma(a),
+    # which the walk would miss, or at s = 5 > sigma(5) = 3 answer with 2
+    for a, s in ((5, 1), (5, 0), (5, -3), (5, 4), (5, 100), (10**12, 2), (5, 5)):
+        with pytest.raises(ValueError, match=rf"^s = {s} is not sigma\({a}\) = {sigma(a)}$"):
+            min_k(a, s)
     with pytest.raises(ValueError, match="a must be >= 0"):
         min_k(-1, 1)
     assert min_k(5, 3) == 1
@@ -478,7 +479,7 @@ def test_certified_pairs_have_one_witness(a):
     t, s = certified_first_pair(a)
     assert tau(a, s) == 1 and t_set(a, s) == [t], a
     dc = decompose(a)
-    assert sigmacore._certified_pair_in_frame(a, dc.n, dc.b + 1, dc.c) == (t, s), a
+    assert sigmacore._certified_pair_in_frame(a, dc.n, dc.b + 1) == (t, s), a
 
 
 def test_zero_windows_step_down_from_k_max(monkeypatch):
