@@ -9,6 +9,7 @@ modules and their tests.
 
 from __future__ import annotations
 
+from operator import eq
 from typing import TYPE_CHECKING, NamedTuple
 
 from .exactmath import is_perfect_square, isqrt
@@ -17,7 +18,7 @@ from .sigmacore import (
     _certified_pair_in_frame,
     _pair_curve_index,
     _top_floor,
-    sigma,
+    certified_first_pair,
     sigma_upper,
     tau,
 )
@@ -30,9 +31,9 @@ if TYPE_CHECKING:
 # k_max = 10^12 ran out of memory at once, so the count comes first.
 CONJECTURE1_MAX_FINDINGS = 10**6
 
-# The most sigma pairs a symmetry_report compares, two sigma calls each.
-# --full-range gives trough n about n^2 of them, so --n-max 10^6 would
-# run for hours; the count comes before any sigma call.
+# The most sigma pairs a symmetry_report compares.  --full-range gives
+# trough n about n^2 of them, so --n-max 10^6 would run for hours; the
+# count comes before any sigma is computed.
 SYMMETRY_MAX_COMPARISONS = 10**6
 
 __all__ = [
@@ -147,10 +148,12 @@ def symmetry_report(
     Trough n compares sigma(n(n+1) - d) with sigma(n(n+1) + d) for
     1 <= d <= min(d_max, n), which keeps both arguments between n^2 and
     (n+1)^2; d_max defaults to n.  full_range runs d to n(n+1) - 1
-    instead, crossing square spikes, and so excludes d_max.  More than
-    SYMMETRY_MAX_COMPARISONS comparisons are refused before any sigma call:
-    first by the trough count, as each trough makes at least one, then by
-    the sum of the troughs' spans, in closed form (_symmetry_comparisons).
+    instead, crossing square spikes, and so excludes d_max.  Every sigma
+    is certified (certified_first_pair) and computed once for its a: with
+    full_range in one list that every trough slices, otherwise trough by
+    trough, as each window lies in n^2..n^2 + 2n.  More than
+    SYMMETRY_MAX_COMPARISONS comparisons, counted in closed form
+    (_symmetry_comparisons), are refused before any sigma is computed.
     """
     if n_min < 2 or n_max < n_min:
         raise ValueError("need 2 <= n_min <= n_max")
@@ -159,26 +162,23 @@ def symmetry_report(
     if d_max is not None and d_max < 1:
         raise ValueError("d_max must be >= 1")
     cap = SYMMETRY_MAX_COMPARISONS
-    troughs = n_max - n_min + 1
-    if troughs > cap:
-        raise ValueError(
-            f"symmetry would make at least {troughs} comparisons, over the cap of {cap}")
-
-    def span(n):
-        if full_range:
-            return n * (n + 1) - 1
-        return n if d_max is None else min(d_max, n)
-
     count = _symmetry_comparisons(n_min, n_max, d_max, full_range)
     if count > cap:
         raise ValueError(f"symmetry would make {count} comparisons, over the cap of {cap}")
     from fractions import Fraction
+    if full_range:  # shared[a - 1] = sigma(a); trough n's window 1..2n(n+1) - 1 is a prefix
+        shared = [certified_first_pair(a)[1] for a in range(1, 2 * n_max * (n_max + 1))]
     per_n = []
     hits = 0
     for n in range(n_min, n_max + 1):
         center = n * (n + 1)
-        dm = span(n)
-        h = sum(1 for d in range(1, dm + 1) if sigma(center - d) == sigma(center + d))
+        if full_range:
+            dm, below, above = center - 1, shared[center - 2::-1], shared[center:2 * center - 1]
+        else:  # streamed, so no list of 2*dm sigma is held
+            dm = n if d_max is None else min(d_max, n)
+            below = (certified_first_pair(a)[1] for a in range(center - 1, center - dm - 1, -1))
+            above = (certified_first_pair(a)[1] for a in range(center + 1, center + dm + 1))
+        h = sum(map(eq, below, above))  # offset d: sigma(center - d) == sigma(center + d)
         per_n.append({"n": n, "center": center, "matches": h, "comparisons": dm})
         hits += h
     return {
@@ -195,25 +195,33 @@ def off_bound_points(a_from: int, a_to: int) -> list[tuple[int, int]]:
     return [(a, s) for a, s, _, _, on, _, _ in _sweep_rows(a_from, a_to) if not on]
 
 
+def _offbound_by_interval(n_from: int, n_to: int) -> list[tuple]:
+    """(n, peak, minima) for each square interval n^2 < a < (n+1)^2 with
+    n_from <= n <= n_to, read off one off_bound_points list each: peak is
+    the off-bound (a, sigma) of largest sigma, ties to the smallest a, or
+    None when the interval has no off-bound point; minima are the off-bound
+    a with sigma(a) = 5, in order."""
+    if n_from < 2 or n_to < n_from:
+        raise ValueError("need 2 <= n_from <= n_to")
+    out = []
+    for n in range(n_from, n_to + 1):
+        pts = off_bound_points(n * n + 1, (n + 1) ** 2 - 1)
+        peak = max(pts, key=lambda p: (p[1], -p[0])) if pts else None
+        out.append((n, peak, [a for a, s in pts if s == 5]))
+    return out
+
+
 def offbound_peaks(n_from: int, n_to: int) -> list[tuple[int, int, int]]:
     """(n, a_peak, sigma_peak) per square interval; intervals with no
     off-bound point are omitted.  Ties resolve to the smallest a."""
-    if n_from < 2 or n_to < n_from:
-        raise ValueError("need 2 <= n_from <= n_to")
-    peaks = []
-    for n in range(n_from, n_to + 1):
-        pts = off_bound_points(n * n + 1, (n + 1) ** 2 - 1)
-        if pts:
-            a_peak, s_peak = max(pts, key=lambda p: (p[1], -p[0]))
-            peaks.append((n, a_peak, s_peak))
-    return peaks
+    return [(n, *peak) for n, peak, _ in _offbound_by_interval(n_from, n_to) if peak]
 
 
 def offbound_minima(n: int) -> list[int]:
     """Off-bound a strictly between n^2 and (n+1)^2 with sigma(a) = 5."""
     if n < 7:
         raise ValueError("n must be >= 7")
-    return [a for a, s in off_bound_points(n * n + 1, (n + 1) ** 2 - 1) if s == 5]
+    return _offbound_by_interval(n, n)[0][2]
 
 
 def k_set(n: int) -> set[int]:

@@ -10,6 +10,7 @@ windows that compares every window's ends, plain and run-length
 Stern-Brocot descents for the first rational between two square roots,
 a sweep row built value by value from the public point functions,
 per-a off-bound and curve-index walks over sigma, sigma_lower and min_k,
+a symmetry walk that compares two point sigma calls per offset,
 the curve index in closed form from two isqrt calls,
 a checked tau profile over s, and the bounding curves sigma_l and sigma_r
 as exact surds with the surd floor that sigma_k is checked against.
@@ -263,6 +264,19 @@ def off_bound_points_walk(a_from, a_to):
         if s > sigma_lower(a):
             out.append((a, s))
     return out
+
+
+def symmetry_walk(n_min, n_max, d_max=None, full_range=False):
+    """Oracle for symmetry_report's per_n: trough n compares sigma(n(n+1) - d)
+    with sigma(n(n+1) + d) for each offset d, two point sigma calls each,
+    up to min(d_max, n), n by default, or to n(n+1) - 1 with full_range."""
+    per_n = []
+    for n in range(n_min, n_max + 1):
+        center = n * (n + 1)
+        dm = center - 1 if full_range else n if d_max is None else min(d_max, n)
+        h = sum(1 for d in range(1, dm + 1) if sigma(center - d) == sigma(center + d))
+        per_n.append({"n": n, "center": center, "matches": h, "comparisons": dm})
+    return per_n
 
 
 def k_set_walk(n):

@@ -34,6 +34,7 @@ from conftest import (
     k_set_walk,
     off_bound_points_walk,
     sweep_record,
+    symmetry_walk,
     tau_profile,
 )
 
@@ -266,17 +267,19 @@ def test_symmetry_report_refuses_more_comparisons_than_the_cap(monkeypatch):
     n = 10**6
     full = n * (n + 1) * (2 * n + 1) // 6 + n * (n + 1) // 2 - n - 1  # sum of n(n+1) - 1 over 2..n
     with monkeypatch.context() as m:
-        # every refusal comes from the count, before any sigma call
-        m.setattr(analysis, "sigma", lambda a: pytest.fail("compared"))
+        # every refusal comes from the count, before any sigma is computed
+        m.setattr(sigmacore, "_first_pair_in_frame", lambda *args: pytest.fail("compared"))
         with pytest.raises(ValueError, match=rf"^symmetry would make {full} comparisons, "
                                              r"over the cap of 1000000$"):
             symmetry_report(2, n, full_range=True)
-        # past the cap in troughs alone, no trough's span is added up
-        with pytest.raises(ValueError, match=r"^symmetry would make at least 999999999999999999 "
+        # 10^18 troughs: the closed form counts them with no trough walk
+        big = 10**18 * (10**18 + 1) // 2 - 1
+        with pytest.raises(ValueError, match=rf"^symmetry would make {big} "
                                              r"comparisons, over the cap of 1000000$"):
             symmetry_report(2, 10**18)
         monkeypatch.setattr(analysis, "SYMMETRY_MAX_COMPARISONS", 2)
-        with pytest.raises(ValueError, match=r"^symmetry would make at least 3 comparisons"):
+        with pytest.raises(ValueError, match=r"^symmetry would make 3 comparisons, "
+                                             r"over the cap of 2$"):
             symmetry_report(2, 4, d_max=1)
     # at the cap a report is made; one comparison more is refused.  Troughs
     # 2..4 make 2 + 3 + 4 = 9 by default and 2 + 3 + 3 = 8 at d_max = 3;
@@ -287,10 +290,63 @@ def test_symmetry_report_refuses_more_comparisons_than_the_cap(monkeypatch):
         assert symmetry_report(2, n_max, **kwargs)["comparisons"] == count
         monkeypatch.setattr(analysis, "SYMMETRY_MAX_COMPARISONS", count - 1)
         with monkeypatch.context() as m:
-            m.setattr(analysis, "sigma", lambda a: pytest.fail("compared"))
+            m.setattr(sigmacore, "_first_pair_in_frame", lambda *args: pytest.fail("compared"))
             with pytest.raises(ValueError, match=rf"^symmetry would make {count} comparisons, "
                                                  rf"over the cap of {count - 1}$"):
                 symmetry_report(2, n_max, **kwargs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=12),
+       st.one_of(st.none(), st.integers(min_value=1, max_value=60), st.just("full")))
+@example(2, 42, None)  # the default report, troughs 2..44
+@example(2, 42, 3)
+@example(5, 25, 40)
+@example(2, 42, "full")
+@example(10**20, 2, 7)  # troughs near 10^40
+def test_symmetry_report_matches_the_point_sigma_oracle(n_min, width, mode):
+    full_range = mode == "full"
+    d_max = None if full_range else mode
+    n_max = n_min + width
+    rep = symmetry_report(n_min, n_max, d_max, full_range)
+    per_n = symmetry_walk(n_min, n_max, d_max, full_range)
+    assert rep["per_n"] == per_n
+    assert rep["matches"] == sum(e["matches"] for e in per_n)
+    assert rep["comparisons"] == sum(e["comparisons"] for e in per_n)
+    assert rep["aggregate"] == Fraction(rep["matches"], rep["comparisons"])
+
+
+def test_symmetry_report_certifies_each_a_once(monkeypatch):
+    certified, descents = Counter(), Counter()
+    certify, descend = sigmacore._certified_pair_in_frame, sigmacore._first_pair_in_frame
+
+    def counted_certify(a, n, b1):
+        certified[a] += 1
+        return certify(a, n, b1)
+
+    def counted_descend(x, y, n, rx, ry):
+        descents[x] += 1
+        return descend(x, y, n, rx, ry)
+
+    monkeypatch.setattr(sigmacore, "_certified_pair_in_frame", counted_certify)
+    monkeypatch.setattr(sigmacore, "_first_pair_in_frame", counted_descend)
+    # --full-range troughs 2..44 slice one list over 1..2*44*45 - 1: 3,959
+    # certificates where the point loop made 60,630 sigma calls.  Every
+    # descent is a certificate's, so no sigma compared goes uncertified
+    symmetry_report(2, 44, full_range=True)
+    assert sorted(certified) == list(range(1, 3960))
+    assert set(certified.values()) == {1} and descents == certified
+    # trough n's window n(n+1) - dm..n(n+1) + dm lies in n^2..n^2 + 2n, its
+    # own, and the centre, never compared, is not certified
+    for d_max in (None, 3):
+        certified.clear()
+        descents.clear()
+        symmetry_report(2, 44, d_max)
+        compared = [n * (n + 1) + d for n in range(2, 45)
+                    for dm in [n if d_max is None else min(d_max, n)]
+                    for d in range(-dm, dm + 1) if d]
+        assert sorted(certified) == compared, d_max
+        assert set(certified.values()) == {1} and descents == certified, d_max
 
 
 def test_symmetry_report_variants():

@@ -39,13 +39,15 @@ def test_sigma_command_large_a(capsys):
 
 
 def test_consistency_failures_exit_four(capsys, monkeypatch, tmp_path):
-    # offbound, kset and every figure read certified sweep rows too
+    # offbound, kset and every figure read certified sweep rows too, and
+    # symmetry certifies every sigma it compares
     with monkeypatch.context() as m:
         m.setattr(sigmacore, "_first_pair_in_frame", lambda x, y, n, rx, ry: (850, 28, 0, 1))
         for argv in (("sigma", "991"), ("first-square", "991"),
                      ("sweep", "--from", "19", "--to", "19"),
                      ("analyze", "offbound", "--n-from", "7", "--n-to", "7"),
                      ("analyze", "kset", "--n", "2"),
+                     ("analyze", "symmetry", "--n-min", "2", "--n-max", "2"),
                      ("figures", "--out-dir", str(tmp_path))):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (4, ""), argv
@@ -81,6 +83,28 @@ def test_consistency_failures_exit_four(capsys, monkeypatch, tmp_path):
     code, out, err = run(capsys, "analyze", "kset", "--n", "2")
     assert (code, out) == (4, "")
     assert err.startswith("internal error: no curve index") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="Python 3.10 before 3.10.7 has no int-to-str digit limit")
+def test_first_square_prints_answers_past_the_digit_limit(capsys):
+    # a = 10^2200 parses under the interpreter's default limit of 4300
+    # digits on int-to-str conversion, but t^2 has about 4400 digits.  The
+    # limit is back in place once main returns, after an error too
+    limit = sys.get_int_max_str_digits()
+    default = sys.int_info.default_max_str_digits
+    sys.set_int_max_str_digits(default)
+    try:
+        assert run(capsys, "sigma", "-1") == (2, "", "error: a must be >= 0\n")
+        assert sys.get_int_max_str_digits() == default
+        code, out, err = run(capsys, "first-square", str(10**2200))
+        assert sys.get_int_max_str_digits() == default
+        assert (code, err) == (0, "")
+        t, s = sigmacore.certified_first_pair(10**2200)
+        sys.set_int_max_str_digits(0)
+        assert out == f"{t * t}/{s * s} (t={t}, s={s})\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_tset_refuses_more_witnesses_than_the_cap(capsys):
@@ -302,16 +326,16 @@ def test_analyze_symmetry(capsys):
 
 def test_analyze_symmetry_refuses_oversized_work(capsys, monkeypatch):
     # --full-range --n-max 10^6 would run for hours; both refusals come from
-    # the count, before any sigma call
+    # the count, in closed form, before any sigma is computed
     n = 10**6
     full = n * (n + 1) * (2 * n + 1) // 6 + n * (n + 1) // 2 - n - 1
+    big = 10**18 * (10**18 + 1) // 2 - 1  # troughs 2..10^18, span n each
     with monkeypatch.context() as m:
-        m.setattr(analysis, "sigma", lambda a: pytest.fail("compared"))
+        m.setattr(sigmacore, "_first_pair_in_frame", lambda *args: pytest.fail("compared"))
         assert run(capsys, "analyze", "symmetry", "--full-range", "--n-max", str(n)) == (
             2, "", f"error: symmetry would make {full} comparisons, over the cap of 1000000\n")
         assert run(capsys, "analyze", "symmetry", "--n-max", str(10**18)) == (
-            2, "", "error: symmetry would make at least 999999999999999999 comparisons, "
-                   "over the cap of 1000000\n")
+            2, "", f"error: symmetry would make {big} comparisons, over the cap of 1000000\n")
     # at a cap of 9 (troughs 2..4 by default) or 16 (2..3 with --full-range)
     # the report is made; at one less it is refused
     for flags, count in ((("--n-max", "4"), 9), (("--n-max", "3", "--full-range"), 16)):
@@ -320,7 +344,7 @@ def test_analyze_symmetry_refuses_oversized_work(capsys, monkeypatch):
         assert code == 0 and json.loads(out)["comparisons"] == count
         monkeypatch.setattr(analysis, "SYMMETRY_MAX_COMPARISONS", count - 1)
         with monkeypatch.context() as m:
-            m.setattr(analysis, "sigma", lambda a: pytest.fail("compared"))
+            m.setattr(sigmacore, "_first_pair_in_frame", lambda *args: pytest.fail("compared"))
             assert run(capsys, "analyze", "symmetry", *flags) == (
                 2, "", f"error: symmetry would make {count} comparisons, over the cap of {count - 1}\n")
 
@@ -366,6 +390,7 @@ def test_cli_import_loads_only_the_parser():
 @pytest.mark.parametrize("argv, unused", [
     (["sigma", "991"], ["sqdenom.analysis", "sqdenom.figures", "sqdenom.svg", "json", "csv"]),
     (["analyze", "kset", "--n", "2"], ["sqdenom.figures", "sqdenom.svg", "csv", "fractions"]),
+    (["analyze", "symmetry", "--n-max", "4"], ["sqdenom.figures", "sqdenom.svg", "csv"]),
     (["analyze", "offbound", "--n-from", "7", "--n-to", "7"],
      ["sqdenom.figures", "sqdenom.svg", "csv", "fractions"]),
     (["analyze", "conjecture1", "--a-max", "20", "--k-max", "1"],
@@ -422,6 +447,24 @@ def test_analyze_offbound(capsys):
     rep = json.loads(out)
     assert [e["points"] for e in rep["minima"]][0] == [54, 57]
     assert all(e["verdict"] in ("pass", "indeterminate") for e in rep["peaks"])
+    # minima start at n = 7, peaks at --n-from
+    code, out, _ = run(capsys, "analyze", "offbound", "--n-from", "4", "--n-to", "8")
+    rep = json.loads(out)
+    assert [e["n"] for e in rep["minima"]] == [7, 8]
+    assert [e["n"] for e in rep["peaks"]] == [4, 5, 6, 7, 8]
+
+
+def test_analyze_offbound_reads_each_interval_once(capsys, monkeypatch):
+    # peaks and sigma = 5 minima come from one off-bound list an interval:
+    # 14 lists and 378 certified rows at 7..20
+    seen = []
+    points = analysis.off_bound_points
+    monkeypatch.setattr(analysis, "off_bound_points",
+                        lambda lo, hi: seen.append((lo, hi)) or points(lo, hi))
+    code, out, _ = run(capsys, "analyze", "offbound", "--n-from", "7", "--n-to", "20")
+    assert code == 0 and len(json.loads(out)["minima"]) == 14
+    assert seen == [(n * n + 1, (n + 1) ** 2 - 1) for n in range(7, 21)]
+    assert sum(hi - lo + 1 for lo, hi in seen) == 378
 
 
 def test_analyze_out_file(tmp_path, capsys):
