@@ -14,22 +14,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import marshal
-import os
 import sys
 
 # The most witnesses `tset` prints.  tau(a, s) counts them in O(1) but has
 # no bound of its own (tau(0, s) = s - 1), so the command checks the count
 # before it builds the list.
 TSET_MAX_WITNESSES = 10**6
-
-# The fewest rows `sweep` hands to one forked child.  A child costs its
-# fork, the copy-on-write pages it touches and the marshal round trip of
-# its text; on a 2-vCPU x86-64 VM, at about 3.4 us a row, a two-block
-# split of a whole `sqdenom sweep` run won 8 of 21 pairs at 3000 rows
-# (+8 % wall), 16 at 5000 (-7 %), 20 at 8192 (-11 %), the shortest range
-# this split allows, and 17 at 20000 (-15 %).
-SWEEP_MIN_BLOCK_ROWS = 4096
 
 
 def _output(path: str | None):
@@ -85,33 +75,6 @@ def cmd_cf(args) -> int:
     return 0
 
 
-def plan_blocks(a_from: int, a_to: int, cpus: int, min_rows: int) -> list[tuple[int, int]]:
-    """Contiguous (lo, hi) blocks that cover a_from..a_to in order.
-
-    There are at most `cpus` blocks and each has at least min_rows rows, so
-    the fan-out is bounded whatever the range; a range too short to split,
-    or an empty one, is one block.  Block sizes differ by at most one row,
-    and the first block, which the parent computes, is never the larger.
-    """
-    rows = a_to - a_from + 1
-    count = max(1, min(cpus, rows // min_rows))
-    size, extra = divmod(rows, count)
-    blocks = []
-    lo = a_from
-    for i in range(count):
-        hi = lo + size + (i >= count - extra) - 1
-        blocks.append((lo, hi))
-        lo = hi + 1
-    return blocks
-
-
-def _allowed_cpus() -> int:
-    """CPUs this process may run on; 1 where it cannot fork or ask."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 # One sweep row as json.dumps(row._asdict(), indent=2, sort_keys=True)
 # writes it inside a list: the seven keys sorted, on_bound as true/false.
 _JSON_ROW = ('  {\n    "a": %d,\n    "min_k": %d,\n    "on_bound": %s,\n    "sigma": %d,\n'
@@ -130,79 +93,18 @@ def _block_text(lo: int, hi: int, fmt: str) -> str:
     return "".join(["%d,%d,%d,%d,%d,%d,%d\n" % r for r in rows])
 
 
-def _sweep_child(lo: int, hi: int, fmt: str, fd: int, parent_fds: list[int]):
-    """Forked child: close the read ends it inherited (parent_fds), so a
-    closed pipe breaks a blocked write; send _block_text down fd as one
-    marshal payload; and exit at once, so nothing of the parent runs twice.
-    An error is not caught: the child sends nothing (a kill mid-write sends
-    part of a payload), and the parent formats the block itself."""
-    try:
-        for parent_fd in parent_fds:
-            os.close(parent_fd)
-        with open(fd, "wb") as fh:
-            fh.write(marshal.dumps(_block_text(lo, hi, fmt)))
-    finally:
-        os._exit(0)
-
-
-def _sweep_texts(a_from: int, a_to: int, fmt: str) -> list[str]:
-    """_block_text of each block of plan_blocks, in order.  The parent forks
-    a child for each later block and formats the first block itself.  Then,
-    in block order, it takes a block's text from its child only when the
-    child sent one whole marshal payload, and otherwise formats the block
-    itself: no fork, or a child that raised, died or was killed mid-write.
-    So any error is the one a serial run raises, at the lowest failing a.
-    Every exit closes the pipes and reaps every child, and an error kills
-    the children still running first."""
-    blocks = plan_blocks(a_from, a_to, _allowed_cpus(), SWEEP_MIN_BLOCK_ROWS)
-    children = []  # (pid, read fd), one per forked block, in block order
-    try:
-        for lo, hi in blocks[1:]:
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                break
-            if pid == 0:
-                _sweep_child(lo, hi, fmt, w, [r] + [fd for _, fd in children])
-            children.append((pid, r))
-            os.close(w)
-        texts = [_block_text(*blocks[0], fmt)]
-        for i, (lo, hi) in enumerate(blocks[1:]):
-            payload = b""
-            if i < len(children):
-                with open(children[i][1], "rb", closefd=False) as fh:
-                    payload = fh.read()
-            try:
-                texts.append(marshal.loads(payload))
-            except EOFError:  # an empty or truncated payload
-                texts.append(_block_text(lo, hi, fmt))
-    except BaseException:
-        import signal
-
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for _, fd in children:
-            os.close(fd)
-        for pid, _ in children:
-            os.waitpid(pid, 0)
-    return texts
-
-
 def cmd_sweep(args) -> int:
     from .analysis import SweepRecord
 
-    texts = _sweep_texts(args.a_from, args.a_to, args.format)
+    text = _block_text(args.a_from, args.a_to, args.format)
     with _output(args.out) as fh:
-        if args.format == "json":
-            fh.write("[\n" + ",\n".join(texts) + "\n]\n")
+        if args.format == "json":  # three writes: a `+` would copy the text again
+            fh.write("[\n")
+            fh.write(text)
+            fh.write("\n]\n")
         else:
             fh.write(",".join(SweepRecord._fields) + "\n")
-            fh.writelines(texts)
+            fh.write(text)
     return 0
 
 
@@ -377,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="a_to", type=int, required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", default=None)
-    # Inert: a sweep splits itself over the CPUs it may use (plan_blocks).
-    # Kept so command lines that still pass it keep working.
+    # Inert: a sweep runs in one process.  Kept so command lines that
+    # still pass it keep working.
     p.add_argument("--jobs", type=int, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_sweep)
 

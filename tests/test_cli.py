@@ -3,12 +3,11 @@
 import ast
 import csv
 import hashlib
+import io
 import json
 import os
-import signal
 import subprocess
 import sys
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -517,26 +516,14 @@ def test_json_sweep_block_matches_json_dumps(lo, rows):
     assert cli._block_text(lo, hi, "json") == json.dumps(objects, indent=2, sort_keys=True)[2:-2]
 
 
-# --- the forked sweep -------------------------------------------------------
+# --- the sweep in one process -----------------------------------------------
 
-JSON_300 = ("sweep", "--from", "1", "--to", "300", "--format", "json")
-
-
-def _split_three_ways(monkeypatch):
-    """Make 1..300 split into three blocks of 100 rows on any machine, and
-    count the children forked."""
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(cli, "SWEEP_MIN_BLOCK_ROWS", 64)
-    monkeypatch.setattr(cli, "_allowed_cpus", lambda: 3)
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    return forks
-
-
-def _no_children_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    return True
+# sha256 of `sweep --from 1 --to 9000` in each format, as written when a
+# range this long was split over forked children
+SWEEP_9000_SHA256 = {
+    "csv": "d71ff2e80a911a7910c0881df4110dc35946114ba7bbca2ad8c187f7c9127723",
+    "json": "9820751be78735d892f815a403e977698122fdf01e0ffd75d66afdf1ee8fb5f7",
+}
 
 
 def _fault_at(monkeypatch, *bad):
@@ -548,206 +535,46 @@ def _fault_at(monkeypatch, *bad):
         lambda x, y, n, rx, ry: (850, 28, 0, 1) if x in bad else in_frame(x, y, n, rx, ry))
 
 
-def test_split_sweep_writes_the_serial_bytes(capsys, monkeypatch):
-    serial_csv = run(capsys, "sweep", "--from", "1", "--to", "300")
-    forks = _split_three_ways(monkeypatch)
-    code, out, err = run(capsys, *JSON_300)
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_SHA256[JSON_300]
-    assert run(capsys, "sweep", "--from", "1", "--to", "300") == serial_csv
-    assert len(forks) == 4  # two children a sweep
-    assert _no_children_left()
+def test_sweep_writes_the_split_bytes_in_one_process(capsys, monkeypatch):
+    def refuse(*args):
+        raise OSError(11, "Resource temporarily unavailable")
 
-
-def test_split_sweep_joins_one_row_blocks(capsys, monkeypatch):
-    argvs = [("sweep", "--from", "1", "--to", "3", "--format", fmt) for fmt in ("csv", "json")]
-    serial = [run(capsys, *argv) for argv in argvs]
-    rows = [r._asdict() for r in analysis.sweep(1, 3)]
-    assert serial[1] == (0, json.dumps(rows, indent=2, sort_keys=True) + "\n", "")
-    forks = _split_three_ways(monkeypatch)
-    monkeypatch.setattr(cli, "SWEEP_MIN_BLOCK_ROWS", 1)
-    assert cli.plan_blocks(1, 3, cli._allowed_cpus(), 1) == [(1, 1), (2, 2), (3, 3)]
-    assert [run(capsys, *argv) for argv in argvs] == serial
-    assert len(forks) == 4 and _no_children_left()
-
-
-def test_split_sweep_fails_at_the_lowest_a_with_the_serial_message(capsys, monkeypatch):
-    for bad in ((150,), (250,), (150, 250), (50, 250)):
-        with monkeypatch.context() as m:
-            _fault_at(m, *bad)
-            serial = run(capsys, "sweep", "--from", "1", "--to", "300")
-            _split_three_ways(m)
-            split = run(capsys, "sweep", "--from", "1", "--to", "300")
-        assert split == serial, bad
-        assert split[:2] == (4, "") and split[2].startswith(
-            f"internal error: sigma certificate failed at a={bad[0]}:"), bad
-        assert _no_children_left()
-
-
-def test_split_sweep_reaps_its_children_after_a_parent_failure(capsys, monkeypatch):
-    # 3000 rows a block: a child's payload overfills a pipe, so the children
-    # may be blocked writing when the parent fails at the end of its block
-    forks = _split_three_ways(monkeypatch)
-    _fault_at(monkeypatch, 3000)
-    code, out, err = run(capsys, "sweep", "--from", "1", "--to", "9000")
-    assert (code, out) == (4, "") and len(forks) == 2
-    assert err.startswith("internal error: sigma certificate failed at a=3000:")
-    assert _no_children_left()
-    # Ctrl-C in the parent while the children are still at work: they are
-    # killed, not waited for
-    parent = os.getpid()
-    rows = analysis._sweep_rows
-
-    def interrupted(lo, hi):
-        if os.getpid() == parent:
-            raise KeyboardInterrupt
-        time.sleep(30)
-        return rows(lo, hi)
-
-    monkeypatch.setattr(analysis, "_sweep_rows", interrupted)
-    t0 = time.perf_counter()
-    with pytest.raises(KeyboardInterrupt):
-        main(["sweep", "--from", "1", "--to", "300"])
-    assert time.perf_counter() - t0 < 10
-    assert _no_children_left()
-
-
-def test_split_sweep_stays_serial_when_it_cannot_fork(capsys, monkeypatch):
-    serial = run(capsys, *JSON_300)
-    forks = _split_three_ways(monkeypatch)
-    fork = os.fork  # the counting fork
-
-    def fork_once():
-        if forks:
-            raise OSError(11, "Resource temporarily unavailable")
-        return fork()
-
-    def no_fork():
-        raise OSError(12, "Cannot allocate memory")
-
-    # the first child, or none, then the parent computes the other blocks
-    for failing_fork, children in ((fork_once, 1), (no_fork, 0)):
-        forks.clear()
-        monkeypatch.setattr(os, "fork", failing_fork)
-        assert run(capsys, *JSON_300) == serial
-        assert len(forks) == children and _no_children_left()
-    # one allowed CPU, or no way to fork or to ask: no child at all
-    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
-    monkeypatch.setattr(cli, "_allowed_cpus", lambda: 1)
-    assert run(capsys, *JSON_300) == serial
-    monkeypatch.undo()
-    for name in ("fork", "sched_getaffinity"):
-        with monkeypatch.context() as m:
-            m.delattr(os, name, raising=False)
-            assert cli._allowed_cpus() == 1
-
-
-def test_split_sweep_takes_every_later_block_from_its_child(capsys, monkeypatch):
-    # the parent formats block 0 alone: a fork path that never delivered
-    # would show here, though the fallback keeps the bytes right
-    serial = run(capsys, *JSON_300)
-    forks = _split_three_ways(monkeypatch)
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(os, "pipe", refuse)
     block_text = cli._block_text
     calls = []
     monkeypatch.setattr(cli, "_block_text",
-                        lambda lo, hi, fmt: calls.append((lo, hi)) or block_text(lo, hi, fmt))
-    assert run(capsys, *JSON_300) == serial
-    assert calls == [(1, 100)] and len(forks) == 2
-    assert _no_children_left()
+                        lambda lo, hi, fmt: calls.append((lo, hi, fmt)) or block_text(lo, hi, fmt))
+    for fmt, digest in SWEEP_9000_SHA256.items():
+        code, out, err = run(capsys, "sweep", "--from", "1", "--to", "9000", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+    assert calls == [(1, 9000, "csv"), (1, 9000, "json")]
 
 
-def test_split_sweep_reports_a_child_that_sends_no_rows(capsys, monkeypatch):
-    # a child that sends no whole payload costs its block's time, not the
-    # command: the parent formats that block itself, as a serial run does
-    serial = run(capsys, "sweep", "--from", "1", "--to", "300")
-    _split_three_ways(monkeypatch)
-    parent = os.getpid()
-    rows = analysis._sweep_rows
-
-    def dying(lo, hi):
-        if os.getpid() != parent:
-            os._exit(1)
-        return rows(lo, hi)
-
-    monkeypatch.setattr(analysis, "_sweep_rows", dying)
-    assert run(capsys, "sweep", "--from", "1", "--to", "300") == serial
-    assert _no_children_left()
-    # an error in a child is the serial run's error, raised by the parent
-    def failing(lo, hi):
-        return 1 // 0 if lo <= 150 <= hi else rows(lo, hi)
-
-    monkeypatch.setattr(analysis, "_sweep_rows", failing)
-    with monkeypatch.context() as m:
-        m.setattr(cli, "_allowed_cpus", lambda: 1)
-        with pytest.raises(ZeroDivisionError) as serial_error:
-            main(["sweep", "--from", "1", "--to", "300"])
-    with pytest.raises(ZeroDivisionError) as split_error:
-        main(["sweep", "--from", "1", "--to", "300"])
-    assert str(split_error.value) == str(serial_error.value)
-    assert _no_children_left()
+def test_sweep_fails_at_the_lowest_a_and_writes_nothing(capsys, monkeypatch, tmp_path):
+    target = tmp_path / "sweep.csv"
+    for bad in ((150,), (250,), (150, 250), (50, 250)):
+        with monkeypatch.context() as m:
+            _fault_at(m, *bad)
+            for fmt in ("csv", "json"):
+                for out_args in ((), ("--out", str(target))):
+                    code, out, err = run(capsys, "sweep", "--from", "1", "--to", "300",
+                                         "--format", fmt, *out_args)
+                    assert (code, out) == (4, ""), (bad, fmt, out_args)
+                    assert err.startswith(
+                        f"internal error: sigma certificate failed at a={bad[0]}:"), bad
+                    assert err.count("\n") == 1 and err.endswith("\n")
+                    assert not target.exists()
 
 
-def test_split_sweep_formats_the_block_of_a_child_killed_mid_write(capsys, monkeypatch):
-    serial = run(capsys, *JSON_300)
-    _split_three_ways(monkeypatch)
-    parent = os.getpid()
-    statuses = []
-    waitpid = os.waitpid
-
-    class KilledMidWrite:
-        def __init__(self, fd):
-            self.fd = fd
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def write(self, payload):
-            # a few KB, so the pipe takes the half at once
-            os.write(self.fd, payload[:len(payload) // 2])
-            os.kill(os.getpid(), signal.SIGKILL)
-
-    def child_open(fd, mode="r", **kwargs):
-        if os.getpid() != parent:
-            return KilledMidWrite(fd)
-        return open(fd, mode, **kwargs)
-
-    monkeypatch.setattr(cli, "open", child_open, raising=False)
-    monkeypatch.setattr(os, "waitpid",
-                        lambda pid, options: statuses.append(waitpid(pid, options)) or statuses[-1])
-    assert run(capsys, *JSON_300) == serial
-    assert len(statuses) == 2
-    assert all(os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
-               for _, status in statuses)
-    monkeypatch.undo()
-    assert _no_children_left()
-
-
-def test_plan_blocks_bounds_the_fan_out():
-    lo, hi = 1, 10**12
-    blocks = cli.plan_blocks(lo, hi, 64, cli.SWEEP_MIN_BLOCK_ROWS)
-    assert len(blocks) == 64
-    assert blocks[0][0] == lo and blocks[-1][1] == hi
-    assert all(b[0] == a[1] + 1 for a, b in zip(blocks, blocks[1:]))
-    assert min(b - a + 1 for a, b in blocks) >= cli.SWEEP_MIN_BLOCK_ROWS
-    # under two minimum blocks, a range is not split
-    assert cli.plan_blocks(1, 2 * cli.SWEEP_MIN_BLOCK_ROWS - 1, 64,
-                           cli.SWEEP_MIN_BLOCK_ROWS) == [(1, 2 * cli.SWEEP_MIN_BLOCK_ROWS - 1)]
-
-
-@given(a_from=st.integers(-5, 10**30), rows=st.integers(-3, 10**6),
-       cpus=st.integers(1, 512), min_rows=st.integers(1, 10**4))
-def test_plan_blocks_covers_the_range_in_order(a_from, rows, cpus, min_rows):
-    a_to = a_from + rows - 1
-    blocks = cli.plan_blocks(a_from, a_to, cpus, min_rows)
-    if rows < 2 * min_rows or cpus == 1:
-        assert blocks == [(a_from, a_to)]
-        return
-    sizes = [hi - lo + 1 for lo, hi in blocks]
-    assert 2 <= len(blocks) <= cpus
-    assert blocks[0][0] == a_from and blocks[-1][1] == a_to
-    assert all(b[0] == a[1] + 1 for a, b in zip(blocks, blocks[1:]))
-    assert min(sizes) >= min_rows and max(sizes) - min(sizes) <= 1
-    assert sizes[0] == min(sizes)
+def test_sweep_joins_rows_as_json_dumps_and_csv(capsys):
+    records = analysis.sweep(1, 3)
+    rows = [r._asdict() for r in records]
+    code, out, err = run(capsys, "sweep", "--from", "1", "--to", "3", "--format", "json")
+    assert (code, out, err) == (0, json.dumps(rows, indent=2, sort_keys=True) + "\n", "")
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(analysis.SweepRecord._fields)
+    writer.writerows([int(v) for v in r] for r in records)
+    assert run(capsys, "sweep", "--from", "1", "--to", "3") == (0, text.getvalue(), "")
