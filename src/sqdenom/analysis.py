@@ -68,9 +68,10 @@ def _sweep_rows(a_from: int, a_to: int):
     at a time.  Every row's certified pair comes from the kernel entered in
     a's frame (_certified_pair_in_frame), the two rows at the interval's
     ends included.  Past the pair a row needs only that frame: isqrt(a) = n
-    and isqrt(a+1) = n, or m at a = m^2 - 1, so sigma_1 takes no isqrt, and
-    an off-bound row's curve index (on the bound it is 1) is read off the
-    pair and checked by one sigma_k on the same frame (_pair_curve_index)."""
+    and isqrt(a+1) = n, or m at a = m^2 - 1, so sigma_1 takes no isqrt, nor
+    does the upper bound 2n + 1 + [b >= n] (see sigma_upper); an off-bound
+    row's curve index (on the bound it is 1) is read off the pair and
+    checked by one sigma_k on the same frame (_pair_curve_index)."""
     if a_from < 1 or a_to < a_from:
         raise ValueError("need 1 <= a_from <= a_to")
     lo, n = a_from, isqrt(a_from)
@@ -83,7 +84,7 @@ def _sweep_rows(a_from: int, a_to: int):
             c = mm - a
             t, s = _certified_pair_in_frame(a, n, b1)
             s1 = _top_floor(1, n, n, m if c == 1 else n, b1, c) + 1
-            upper = isqrt(4 * a + 2) + 1  # sigma_upper(a)
+            upper = 2 * n + 1 + (b1 > n)  # sigma_upper(a), b >= n
             if not s1 <= s <= upper:
                 raise ConsistencyError(f"bounds violated at a={a}")
             if s == s1:

@@ -197,8 +197,7 @@ def heatmap_svg(mode: str, rows) -> str:
     return _heatmap_svg(mode, a_lo, s_lo, columns)
 
 
-def _fig_heatmap(out_dir: Path, name: str, mode: str, a_lo: int) -> None:
-    columns = _heatmap_columns(mode, a_lo, 256, 2, 100)
+def _fig_heatmap(out_dir: Path, name: str, mode: str, a_lo: int, columns) -> None:
     (out_dir / f"{name}.csv").write_text(_heatmap_csv(mode, a_lo, 2, columns), newline="")
     (out_dir / f"{name}.svg").write_text(_heatmap_svg(mode, a_lo, 2, columns))
 
@@ -237,8 +236,9 @@ def generate_figures(out_dir) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     records = sweep(1, 2000)  # fig1 and fig2 read its first 500 rows, fig6 all
     _fig12(out, records[:500])
-    _fig_heatmap(out, "fig3", "tau", 8)
-    _fig_heatmap(out, "fig4", "delta", 1)
+    grid = tau_columns(1, 256, 1, 100)  # fig4 steps from s = 1, fig3 starts at s = 2
+    _fig_heatmap(out, "fig3", "tau", 8, [col[1:] for col in grid[7:]])
+    _fig_heatmap(out, "fig4", "delta", 1, [list(map(sub, col[1:], col)) for col in grid])
     _fig5(out)
     _fig6(out, records)
     names = [

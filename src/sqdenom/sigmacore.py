@@ -55,8 +55,9 @@ class ConsistencyError(RuntimeError):
 
 class Decomposition(NamedTuple):
     """a = n^2 + b = m^2 - c.  A tuple, not a frozen dataclass, as a tuple
-    costs under half as much to make.  sigma_k and min_k build none: each
-    works out n, b + 1 and c inline, min_k once per walk."""
+    costs under half as much to make.  sigma_k, min_k and
+    on_bound_criterion build none: each works out its frame inline from one
+    isqrt, min_k once per walk."""
 
     a: int
     n: int
@@ -178,6 +179,10 @@ def sigma_upper(a: int) -> int:
     lies in (4a+1, 4a+2) and 4a+2 is never a perfect square; the sum is
     irrational for a >= 1, so its ceiling is that floor plus one.  At
     a = 0 the formula returns 2, which still bounds sigma(0) = 2.
+
+    In a's frame a = n^2 + b it is 2n + 1 + [b >= n], which sweep rows
+    read with no isqrt: (2n+1)^2 <= 4a+2 iff 4n + 1 <= 4b + 2 iff b >= n,
+    and (2n+2)^2 > 4a+2 as 4b <= 8n < 8n + 2, so isqrt(4a+2) = 2n + [b >= n].
     """
     if a < 0:
         raise ValueError("a must be >= 0")
@@ -231,27 +236,28 @@ def on_bound_criterion(a: int) -> bool:
     zero shifted denominator counts as +infinity, making the drop trivially
     true.  Re-deriving the probes from decompose(a-1)/decompose(a+1)
     instead would change frames at b = 0 / c = 1 and get this wrong.
+    One isqrt frames a: isqrt(a) = n, and isqrt(a+1) is n, or m at c = 1.
     """
     if a < 2:
         raise ValueError("a must be >= 2")
-    dc = decompose(a)
-    left = dc.b == 0 or (
-        (dc.n + isqrt(a + 1)) // (dc.b + 1) < (dc.n + isqrt(a)) // dc.b
-    )
-    right = dc.c == 1 or (
-        (dc.m + isqrt(a)) // dc.c < (dc.m + isqrt(a + 1)) // (dc.c - 1)
-    )
+    n = isqrt(a)
+    b = a - n * n
+    m = n + 1
+    c = m * m - a
+    r1 = m if c == 1 else n  # isqrt(a + 1)
+    left = b == 0 or (n + r1) // (b + 1) < 2 * n // b
+    right = c == 1 or (m + n) // c < (m + r1) // (c - 1)
     return left or right
 
 
-def min_k(a: int, s: int | None = None) -> int:
-    """The one k >= 1 with sigma_k(a) = sigma(a); s, if passed, must be
-    sigma(a), as one kernel call checks (ValueError otherwise).
+def min_k(a: int) -> int:
+    """The one k >= 1 with sigma_k(a) = sigma(a).
 
     sigma_k strictly increases in k (see sigma_k), so the first match is the
-    only one, and sigma_k >= k+1 bounds the walk by sigma(a).  The walk
-    works out sigma_k's frame once (n, a + 1, b + 1, c) and then takes
-    sigma_k's two floors per step through _top_floor, two isqrt calls.
+    only one, and sigma_k >= k+1 bounds the walk by sigma(a).  One isqrt
+    works out a's frame (n, a + 1, b + 1, c); the kernel takes sigma(a) from
+    it, and the walk takes sigma_k's two floors per step through _top_floor,
+    two isqrt calls.
 
     The walk is O(k) where a sweep row reads k off its certified pair
     (_pair_curve_index) and checks it with one sigma_k.  No command calls
@@ -261,13 +267,13 @@ def min_k(a: int, s: int | None = None) -> int:
     O(k) scan of its own, which would never finish on the k of about
     4*10^24 that the closed form returns at a near 10^50.
     """
-    sig = sigma(a)
-    if s not in (None, sig):
-        raise ValueError(f"s = {s} is not sigma({a}) = {sig}")
+    if a < 0:
+        raise ValueError("a must be >= 0")
     n = isqrt(a)
     a1 = a + 1
     b1 = a1 - n * n
     c = (n + 1) ** 2 - a
+    sig = _first_pair_in_frame(a, a1, n, b1 - 1, b1)[1]
     j = sig - 1  # sigma_k(a) = sig iff the larger floor is sig - 1
     for k in range(1, sig + 1):
         kk = k * k
@@ -277,7 +283,7 @@ def min_k(a: int, s: int | None = None) -> int:
 
 
 def _pair_curve_index(a: int, t: int, s: int, n: int, b1: int, c: int) -> int:
-    """min_k(a, s) read off the certified pair t/s of a in its frame
+    """min_k(a) read off the certified pair t/s of a in its frame
     (n = isqrt(a), m = n + 1, b1 = b + 1, c = m^2 - a): with u = t - n*s and
     v = m*s - t it is min(u, v), confirmed by one sigma_k in that frame.
 

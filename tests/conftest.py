@@ -239,7 +239,7 @@ def sweep_record(a):
 
 
 def closed_form_curve_index(a, s):
-    """min_k(a, s) in closed form, checked by one sigma_k: with j = s - 1,
+    """min_k(a) in closed form from s = sigma(a), checked by one sigma_k: with j = s - 1,
     k*sigma_l(a) = k/(sqrt(a+1) - n) and k*sigma_r(a) = k/(m - sqrt(a)), so
     the least k whose larger floor reaches j is
     min(ceil(j*sqrt(a+1)) - j*n, j*m - floor(j*sqrt(a))), two isqrt calls

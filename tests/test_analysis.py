@@ -71,7 +71,7 @@ def test_write_csv_matches_the_csv_module(data):
 def test_sweep_curve_index_matches_the_min_k_walk():
     # off-bound rows take k in closed form; min_k's O(k) walk is the oracle
     for r in sweep(1, 20000):
-        assert r.min_k == min_k(r.a, r.sigma), r.a
+        assert r.min_k == min_k(r.a), r.a
 
 
 # first a of a sweep range: small, anywhere up to 10^300 (mid-interval,
@@ -93,6 +93,7 @@ _sweep_from = st.one_of(
 @example(9, 1)  # a = n^2: b + 1 = 1
 @example(10**200 - 1, 1)  # a = m^2 - 1: c = 1
 @example(10**200 - 2, 4)  # across the square 10^200
+@example(10**200 + 10**100 - 1, 2)  # b = n - 1, n: upper = 2n + 1, 2n + 2
 @example(1, 40)  # across 4, 9, 16, 25 and 36
 def test_sweep_rows_match_the_per_row_oracle(a_from, rows):
     a_to = a_from + rows - 1
@@ -155,8 +156,8 @@ def test_sweep_record_rejects_inconsistent_rows(monkeypatch):
 
 def test_sweep_rows_count_their_work(monkeypatch):
     # one kernel descent a row, entered in a's frame with no isqrt, the
-    # rows at an interval's ends included; a row takes one isqrt for its
-    # upper bound and, off the bound, two more for its sigma_k check
+    # rows at an interval's ends included; a row reads its upper bound off
+    # the frame and, off the bound, takes two isqrt for its sigma_k check
     calls = Counter()
 
     def counted(name, f):
@@ -178,7 +179,7 @@ def test_sweep_rows_count_their_work(monkeypatch):
         assert work["sqdenom.confrac"] == 0, a
         # the walk's isqrt(a_from) falls in its first row
         assert work["sqdenom.sigmacore"] + work["sqdenom.analysis"] == (
-            1 if on_bound else 3) + (a == 1), a
+            0 if on_bound else 2) + (a == 1), a
     assert rows == 2000
     # a point query works out a's frame with one isqrt
     for a in (0, 1, 3, 4, 8, 19, 991, 10**200, 10**200 + 2 * 10**100):
@@ -419,7 +420,7 @@ def test_k_set_minimal_is_subset_of_existential():
         for a in range(n * n + 1, (n + 1) ** 2):
             s = sigma(a)
             ks = [k for k in range(1, s + 1) if sigma_k(a, k) == s]
-            assert ks == [min_k(a, s)], a
+            assert ks == [min_k(a)], a
             existential.update(ks)
         assert k_set(n) == existential, n
 

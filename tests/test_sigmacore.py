@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from sqdenom import sigmacore
 from sqdenom.confrac import first_pair_between, is_first_rational_between
-from sqdenom.exactmath import Surd, surd_cmp
+from sqdenom.exactmath import Surd, isqrt, surd_cmp
 from sqdenom.sigmacore import (
     ConsistencyError,
     Decomposition,
@@ -244,6 +244,23 @@ def test_on_bound_criterion_examples():
         on_bound_criterion(1)
 
 
+def test_on_bound_criterion_frames_a_with_one_isqrt(monkeypatch):
+    # isqrt(a + 1) is n, or n + 1 at a = (n+1)^2 - 1, so the four floors
+    # come from a's frame
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return isqrt(x)
+
+    monkeypatch.setattr(sigmacore, "isqrt", counted)
+    for n in (10**3, 10**25, 10**150):
+        for a in (n * n, n * n + 1, n * n + n - 1, (n + 1) ** 2 - 1):
+            calls.clear()
+            on_bound_criterion(a)
+            assert calls == [a], a
+
+
 def test_on_bound_criterion_equals_bound_attainment():
     for a in range(2, 801):
         assert on_bound_criterion(a) == (sigma(a) == sigma_lower(a)), a
@@ -256,21 +273,23 @@ def test_min_k_examples():
     assert min_k(0) == 1
 
 
-def test_min_k_accepts_known_sigma():
-    for a in range(0, 2001):
-        assert min_k(a, sigma(a)) == min_k(a), a
-
-
-def test_min_k_refuses_a_sigma_below_two():
-    # sigma(a) >= 2 for every a >= 0, so a smaller s is the caller's bad
-    # argument, not a library defect; so is any s >= 2 other than sigma(a),
-    # which the walk would miss, or at s = 5 > sigma(5) = 3 answer with 2
-    for a, s in ((5, 1), (5, 0), (5, -3), (5, 4), (5, 100), (10**12, 2), (5, 5)):
-        with pytest.raises(ValueError, match=rf"^s = {s} is not sigma\({a}\) = {sigma(a)}$"):
-            min_k(a, s)
+def test_min_k_refuses_a_below_zero():
     with pytest.raises(ValueError, match="a must be >= 0"):
-        min_k(-1, 1)
-    assert min_k(5, 3) == 1
+        min_k(-1)
+
+
+def test_min_k_takes_sigma_from_its_own_frame(monkeypatch):
+    # min_k frames a with one isqrt and enters the kernel itself, so it
+    # needs neither sigma nor decompose
+    closed = [closed_form_curve_index(a, sigma(a)) for a in range(1, 2001)]
+
+    def refuse(a):
+        raise AssertionError("sigma or decompose called")
+
+    monkeypatch.setattr(sigmacore, "sigma", refuse)
+    monkeypatch.setattr(sigmacore, "decompose", refuse)
+    assert min_k(991) == 13
+    assert [min_k(a) for a in range(1, 2001)] == closed
 
 
 def test_min_k_is_minimal():
@@ -382,7 +401,7 @@ def test_closed_form_min_k_at_every_scale(a):
     assert sigma_k(a, k) == s, a
     assert k == 1 or sigma_k(a, k - 1) < s, a
     if k <= 10**4:
-        assert min_k(a, s) == k, a
+        assert min_k(a) == k, a
 
 
 # first a of a grid: up to 10^300, or a few below to one above a square
