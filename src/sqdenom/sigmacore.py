@@ -23,7 +23,7 @@ O(log a) exact integer steps.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import chain, repeat
 from operator import mul, sub
 from typing import NamedTuple
 
@@ -55,9 +55,10 @@ class ConsistencyError(RuntimeError):
 
 class Decomposition(NamedTuple):
     """a = n^2 + b = m^2 - c.  A tuple, not a frozen dataclass, as a tuple
-    costs under half as much to make.  sigma_k, min_k and
-    on_bound_criterion build none: each works out its frame inline from one
-    isqrt, min_k once per walk."""
+    costs under half as much to make.  sigma_k, min_k, on_bound_criterion
+    and zero_windows build none: each works out its frame inline from one
+    isqrt, min_k once per walk.  No library function calls decompose any
+    more; it stays public as the frame's reference form."""
 
     a: int
     n: int
@@ -343,36 +344,55 @@ def zero_windows(a: int, k_max: int) -> list[ZeroWindow]:
     denominator of B = (m+sqrt(a))/c.  So a side's nonempty windows are
     exactly k = 0..K.  K is found by stepping down from k_max while the
     window is empty: one exact comparison in the usual case K = k_max, at
-    most k_max - K + 1 per side in general.  Surd ends are built only for
-    the windows returned and the empty windows tested.
+    most k_max - K + 1 per side in general.  One isqrt frames a, and each
+    Surd end is built once: those of the empty windows tested, and those
+    of the windows returned, K's pair kept from its comparison.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    dc = decompose(a)
+    if a < 0:
+        raise ValueError("a must be >= 0")
+    n = isqrt(a)
+    b = a - n * n
+    m = n + 1
+    c = m * m - a
     zero = Surd(0)
-    sides = (
-        ("left-crowding", dc.n, a, dc.b, a + 1, dc.b + 1),
-        ("right-crowding", dc.m, a + 1, dc.c - 1, a, dc.c),
-    )
+    left = _side_windows("left-crowding", k_max, zero, n, a, b, a + 1, b + 1)
+    right = _side_windows("right-crowding", k_max, zero, m, a + 1, c - 1, a, c)
+    # k-major, left before right; past the shorter side only the longer is left
+    common = min(len(left), len(right))
+    out = list(chain.from_iterable(zip(left, right)))
+    out += left[common:]
+    out += right[common:]
+    return out
 
-    def window(k, side, base, rad_lo, den_lo, rad_hi, den_hi) -> ZeroWindow:
-        lo = Surd(k * base, k, rad_lo, den_lo) if k else zero
-        return ZeroWindow(k, lo, Surd((k + 1) * base, k + 1, rad_hi, den_hi), side)
 
-    # Last nonempty offset per side; den_lo = 0 leaves only k = 0, and the
-    # k = 0 window (lo = 0 < hi) is never empty.
-    last = []
-    for spec in sides:
-        k = k_max if spec[3] else 0
-        while k:
-            w = window(k, *spec)
-            if surd_cmp(w.lo, w.hi) <= 0:
-                break
-            k -= 1
-        last.append(k)
-    return [
-        window(k, *spec)
-        for k in range(max(last) + 1)
-        for spec, k_last in zip(sides, last)
-        if k <= k_last
+# tuple.__new__(ZeroWindow, fields) is ZeroWindow(*fields) at about half
+# the cost: it skips the NamedTuple's Python-level __new__
+_new = tuple.__new__
+
+
+def _side_windows(
+    side: str, k_max: int, zero: Surd, base: int, rad_lo: int, den_lo: int, rad_hi: int, den_hi: int
+) -> list[ZeroWindow]:
+    """One side's windows k = 0..K for zero_windows, with ends
+    lo = k*(base + sqrt(rad_lo))/den_lo and hi = (k+1)*(base + sqrt(rad_hi))/den_hi.
+    den_lo = 0 leaves only k = 0, and the k = 0 window (lo = 0 < hi) is
+    never empty."""
+    k = k_max if den_lo else 0
+    top = []  # K's window, its ends kept from the comparison that found K
+    while k:
+        lo = Surd(k * base, k, rad_lo, den_lo)
+        hi = Surd((k + 1) * base, k + 1, rad_hi, den_hi)
+        if surd_cmp(lo, hi) <= 0:
+            top.append(_new(ZeroWindow, (k, lo, hi, side)))
+            break
+        k -= 1
+    windows = [_new(ZeroWindow, (0, zero, Surd(base, 1, rad_hi, den_hi), side))]
+    windows += [
+        _new(ZeroWindow, (j, Surd(j * base, j, rad_lo, den_lo),
+                          Surd((j + 1) * base, j + 1, rad_hi, den_hi), side))
+        for j in range(1, k)
     ]
+    windows += top
+    return windows

@@ -309,6 +309,10 @@ def test_min_k_matches_closed_form():
 def test_zero_windows_structure():
     with pytest.raises(ValueError):
         zero_windows(8, -1)
+    with pytest.raises(ValueError, match="a must be >= 0"):
+        zero_windows(-1, 3)
+    with pytest.raises(ValueError, match="k_max must be >= 0"):
+        zero_windows(-1, -1)
     ws = zero_windows(8, 4)
     by_key = {(w.side, w.k): w for w in ws}
     w = by_key[("left-crowding", 0)]
@@ -385,6 +389,17 @@ def test_sigma_k_floor_matches_surd_floor_at_every_scale(a, k):
 )
 def test_zero_windows_match_per_k_scan(a, k_max):
     # repr pins k, side, order and the stored Surd forms, not just values
+    assert repr(zero_windows(a, k_max)) == repr(zero_windows_scan(a, k_max))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_scale, st.integers(min_value=0, max_value=64))
+@example(0, 64)
+@example(10**200, 64)  # a = n^2: b = 0, no shifted left window
+@example(10**200 - 1, 64)  # a = m^2 - 1: c = 1, no shifted right window
+@example(10**200 + 10**100 - 1, 64)  # n^2 + n - 1: both sides full
+@example(10**12 + 7, 200)  # the left side steps down to k = 7
+def test_zero_windows_match_the_scan_at_every_scale(a, k_max):
     assert repr(zero_windows(a, k_max)) == repr(zero_windows_scan(a, k_max))
 
 
@@ -523,6 +538,50 @@ def test_zero_windows_step_down_from_k_max(monkeypatch):
     assert ws == zero_windows(10**12 + 7, 200)
     with pytest.raises(TypeError):
         hash(ws[0])
+
+
+def test_zero_windows_frames_a_once_and_builds_each_end_once(monkeypatch):
+    def refuse(a):
+        raise AssertionError("decompose called")
+
+    roots, built, failed = [], 0, 0
+
+    def counted_isqrt(x):
+        roots.append(x)
+        return isqrt(x)
+
+    init = Surd.__init__
+
+    def counted_init(self, *args):
+        nonlocal built
+        built += 1
+        init(self, *args)
+
+    def counted_cmp(x, y):
+        nonlocal failed
+        result = surd_cmp(x, y)
+        failed += result > 0
+        return result
+
+    monkeypatch.setattr(sigmacore, "decompose", refuse)
+    monkeypatch.setattr(sigmacore, "isqrt", counted_isqrt)
+    monkeypatch.setattr(Surd, "__init__", counted_init)
+    monkeypatch.setattr(sigmacore, "surd_cmp", counted_cmp)
+    calls = [(family(10**e), 8) for e in (3, 6, 25, 150) for family in _FAMILIES]
+    counts = []
+    for a, k_max in calls + [(10**12 + 7, 200)]:
+        roots.clear()
+        built = failed = 0
+        ws = zero_windows(a, k_max)
+        assert roots == [a], a
+        # the shared zero, the ends returned, and both ends of each empty
+        # window the step-down tested
+        assert built == 1 + sum(1 if w.k == 0 else 2 for w in ws) + 2 * failed, a
+        counts.append(built)
+    # the 16 family radicands at k_max 8; building K's pair a second time
+    # would make 480
+    assert sum(counts[:16]) == 432
+    assert failed == 200 - 7
 
 
 def _covered_denominators(a, k_max, s_max):
