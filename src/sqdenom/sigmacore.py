@@ -342,11 +342,29 @@ def zero_windows(a: int, k_max: int) -> list[ZeroWindow]:
     (2b+1)*a > b^2, which holds as (2b+1)*a >= b^2.  On the right,
     A = (m+sqrt(a+1))/(c-1) has the larger numerator and the smaller
     denominator of B = (m+sqrt(a))/c.  So a side's nonempty windows are
-    exactly k = 0..K.  K is found by stepping down from k_max while the
-    window is empty: one exact comparison in the usual case K = k_max, at
-    most k_max - K + 1 per side in general.  One isqrt frames a, and each
-    Surd end is built once: those of the empty windows tested, and those
-    of the windows returned, K's pair kept from its comparison.
+    exactly k = 0..K.
+
+    K is found in integers from a's frame.  Both sides have the form
+    lo = k*X/d and hi = (k+1)*Y/(d+1), with d = b or c - 1, and X and Y
+    are base + sqrt(a) and base + sqrt(a+1) for base = n or m.  As
+    n <= sqrt(a) <= sqrt(a+1) <= n + 1, both lie in [g, g+1] for
+    g = base + n.  So the window is surely nonempty when
+    k*(g+1)/d <= (k+1)*g/(d+1), that is k*(g+d+1) <= g*d, and surely empty
+    when k*g/d > (k+1)*(g+1)/(d+1), that is k*(g-d) > (g+1)*d.  Only the
+    offsets between the two brackets, a tie, are settled exactly: stepping
+    down from the highest of them, one surd_cmp each, until one is
+    nonempty.  A window the brackets settle builds no ends unless it is
+    returned, and a tie builds its ends once, K's kept from its comparison.
+    One isqrt frames a.
+
+    The ends of windows with k >= 1 skip Surd's validating constructor
+    (_window_end), because its checks hold by construction: q = k or k + 1
+    is at least 1; r = d or d + 1 is at least 1, as the side has windows
+    past k = 0 only when d >= 1; and the radicand a or a + 1 is at least
+    1, as d >= 1 needs a >= 1 (a = 0 has b = 0 and c = 1).  So q, d and r
+    are stored as the constructor would store them.  The shared zero and
+    each k = 0 end go through Surd, because a = 0 needs its q = d = 0
+    normalisation.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
@@ -357,8 +375,8 @@ def zero_windows(a: int, k_max: int) -> list[ZeroWindow]:
     m = n + 1
     c = m * m - a
     zero = Surd(0)
-    left = _side_windows("left-crowding", k_max, zero, n, a, b, a + 1, b + 1)
-    right = _side_windows("right-crowding", k_max, zero, m, a + 1, c - 1, a, c)
+    left = _side_windows("left-crowding", k_max, zero, n, 2 * n, a, b, a + 1)
+    right = _side_windows("right-crowding", k_max, zero, m, m + n, a + 1, c - 1, a)
     # k-major, left before right; past the shorter side only the longer is left
     common = min(len(left), len(right))
     out = list(chain.from_iterable(zip(left, right)))
@@ -370,29 +388,46 @@ def zero_windows(a: int, k_max: int) -> list[ZeroWindow]:
 # tuple.__new__(ZeroWindow, fields) is ZeroWindow(*fields) at about half
 # the cost: it skips the NamedTuple's Python-level __new__
 _new = tuple.__new__
+_blank = object.__new__
+
+
+def _window_end(p: int, q: int, d: int, r: int) -> Surd:
+    """Surd(p, q, d, r) without the constructor's checks, for ends whose
+    q, d and r are all at least 1 (see zero_windows)."""
+    end = _blank(Surd)
+    end.p = p
+    end.q = q
+    end.d = d
+    end.r = r
+    return end
 
 
 def _side_windows(
-    side: str, k_max: int, zero: Surd, base: int, rad_lo: int, den_lo: int, rad_hi: int, den_hi: int
+    side: str, k_max: int, zero: Surd, base: int, g: int, rad_lo: int, d: int, rad_hi: int
 ) -> list[ZeroWindow]:
     """One side's windows k = 0..K for zero_windows, with ends
-    lo = k*(base + sqrt(rad_lo))/den_lo and hi = (k+1)*(base + sqrt(rad_hi))/den_hi.
-    den_lo = 0 leaves only k = 0, and the k = 0 window (lo = 0 < hi) is
-    never empty."""
-    k = k_max if den_lo else 0
-    top = []  # K's window, its ends kept from the comparison that found K
-    while k:
-        lo = Surd(k * base, k, rad_lo, den_lo)
-        hi = Surd((k + 1) * base, k + 1, rad_hi, den_hi)
-        if surd_cmp(lo, hi) <= 0:
-            top.append(_new(ZeroWindow, (k, lo, hi, side)))
-            break
-        k -= 1
-    windows = [_new(ZeroWindow, (0, zero, Surd(base, 1, rad_hi, den_hi), side))]
+    lo = k*(base + sqrt(rad_lo))/d and hi = (k+1)*(base + sqrt(rad_hi))/(d+1),
+    where g <= base + sqrt(rad) <= g + 1 for both radicands.  d = 0 leaves
+    only k = 0, and the k = 0 window (lo = 0 < hi) is never empty."""
+    d1 = d + 1
+    k = k_max if d else 0
+    top = []  # K's window when a tie settles it, ends kept from the comparison
+    if k * (g + d1) > g * d:  # k_max is not surely nonempty
+        sure = g * d // (g + d1)  # k <= sure: surely nonempty
+        if g > d:
+            k = min(k, (g + 1) * d // (g - d))  # k above it: surely empty
+        while k > sure:
+            lo = _window_end(k * base, k, rad_lo, d)
+            hi = _window_end((k + 1) * base, k + 1, rad_hi, d1)
+            k -= 1
+            if surd_cmp(lo, hi) <= 0:
+                top.append(_new(ZeroWindow, (k + 1, lo, hi, side)))
+                break
+    windows = [_new(ZeroWindow, (0, zero, Surd(base, 1, rad_hi, d1), side))]
     windows += [
-        _new(ZeroWindow, (j, Surd(j * base, j, rad_lo, den_lo),
-                          Surd((j + 1) * base, j + 1, rad_hi, den_hi), side))
-        for j in range(1, k)
+        _new(ZeroWindow, (j, _window_end(j * base, j, rad_lo, d),
+                          _window_end((j + 1) * base, j + 1, rad_hi, d1), side))
+        for j in range(1, k + 1)
     ]
     windows += top
     return windows

@@ -1,5 +1,7 @@
 """Square-locating core: counts, witnesses, bounds and zero windows."""
 
+from itertools import product
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -525,16 +527,18 @@ def test_zero_windows_step_down_from_k_max(monkeypatch):
         return surd_cmp(x, y)
 
     monkeypatch.setattr(sigmacore, "surd_cmp", counted)
-    # n^2 and n^2-1 have one crowding side, settled at k_max; n^2+n-1 has
-    # both full; n^2+7 ends its left side at k = 7.  The per-k scan made 224.
+    # the frame's brackets settle every side at k_max but n^2+7's left,
+    # where k = 8 is surely empty and k = 7 is a tie, nonempty.  The per-k
+    # scan made 224.
     for e in (3, 6, 25, 150):
         for family in _FAMILIES:
             zero_windows(family(10**e), 8)
-    assert calls == 4 * (1 + 1 + 2 + 3)
+    assert calls == 4
     calls = 0
     ws = zero_windows(10**12 + 7, 200)
-    # left: 200 down to its last nonempty k = 7; right: full.  The scan made 402
-    assert calls == (200 - 7 + 1) + 1
+    # left: 200 down to 8 surely empty, 7 the one tie; right: surely full.
+    # The scan made 402
+    assert calls == 1
     assert ws == zero_windows(10**12 + 7, 200)
     with pytest.raises(TypeError):
         hash(ws[0])
@@ -544,7 +548,7 @@ def test_zero_windows_frames_a_once_and_builds_each_end_once(monkeypatch):
     def refuse(a):
         raise AssertionError("decompose called")
 
-    roots, built, failed = [], 0, 0
+    roots, built, ends, failed = [], 0, 0, 0
 
     def counted_isqrt(x):
         roots.append(x)
@@ -557,6 +561,13 @@ def test_zero_windows_frames_a_once_and_builds_each_end_once(monkeypatch):
         built += 1
         init(self, *args)
 
+    window_end = sigmacore._window_end
+
+    def counted_end(*args):
+        nonlocal ends
+        ends += 1
+        return window_end(*args)
+
     def counted_cmp(x, y):
         nonlocal failed
         result = surd_cmp(x, y)
@@ -566,22 +577,77 @@ def test_zero_windows_frames_a_once_and_builds_each_end_once(monkeypatch):
     monkeypatch.setattr(sigmacore, "decompose", refuse)
     monkeypatch.setattr(sigmacore, "isqrt", counted_isqrt)
     monkeypatch.setattr(Surd, "__init__", counted_init)
+    monkeypatch.setattr(sigmacore, "_window_end", counted_end)
     monkeypatch.setattr(sigmacore, "surd_cmp", counted_cmp)
     calls = [(family(10**e), 8) for e in (3, 6, 25, 150) for family in _FAMILIES]
-    counts = []
+    public, factory = [], []
     for a, k_max in calls + [(10**12 + 7, 200)]:
         roots.clear()
-        built = failed = 0
+        built = ends = failed = 0
         ws = zero_windows(a, k_max)
         assert roots == [a], a
-        # the shared zero, the ends returned, and both ends of each empty
-        # window the step-down tested
-        assert built == 1 + sum(1 if w.k == 0 else 2 for w in ws) + 2 * failed, a
-        counts.append(built)
-    # the 16 family radicands at k_max 8; building K's pair a second time
-    # would make 480
-    assert sum(counts[:16]) == 432
-    assert failed == 200 - 7
+        # the shared zero and each k = 0 end through Surd; the k >= 1 ends
+        # returned, and both ends of each tie that was empty, from the factory
+        assert built == 1 + sum(w.k == 0 for w in ws), a
+        assert ends == sum(2 for w in ws if w.k) + 2 * failed, a
+        public.append(built)
+        factory.append(ends)
+    # the 16 family radicands at k_max 8: a window the brackets prove empty
+    # builds no ends
+    assert (sum(public[:16]), sum(factory[:16])) == (48, 376)
+    assert failed == 0  # (10^12 + 7, 200): the one tie, k = 7, is nonempty
+
+
+@settings(max_examples=200, deadline=None)
+@given(_any_scale, st.integers(min_value=1, max_value=64))
+@example(0, 64)
+@example(1, 64)
+@example(3, 64)  # c = 1: left side only, b = 2n, so no bracket proves it empty
+@example(10**200, 64)  # b = 0
+@example(10**200 - 1, 64)  # c = 1
+@example(10**200 + 10**100 - 1, 64)
+@example(10**12 + 7, 200)  # the left side's tie at k = 7
+def test_zero_windows_brackets_agree_with_surd_cmp(a, k_top):
+    # n <= sqrt(a) < n + 1 and n < sqrt(a + 1) <= n + 1 bracket each end;
+    # wherever a bracket decides a window, the exact comparison agrees
+    n = isqrt(a)
+    b = a - n * n
+    m = n + 1
+    c = m * m - a
+    for k in range(1, k_top + 1):
+        sides = []
+        if b >= 1:
+            lo = Surd(k * n, k, a, b)
+            hi = Surd((k + 1) * n, k + 1, a + 1, b + 1)
+            full = k * (2 * n + 1) * (b + 1) <= (k + 1) * 2 * n * b
+            empty = k * 2 * n * (b + 1) > (k + 1) * (2 * n + 1) * b
+            sides.append((lo, hi, full, empty))
+        if c >= 2:
+            lo = Surd(k * m, k, a + 1, c - 1)
+            hi = Surd((k + 1) * m, k + 1, a, c)
+            full = k * 2 * m * c <= (k + 1) * (m + n) * (c - 1)
+            empty = k * (m + n) * c > (k + 1) * 2 * m * (c - 1)
+            sides.append((lo, hi, full, empty))
+        for lo, hi, full, empty in sides:
+            if full:
+                assert surd_cmp(lo, hi) <= 0, (a, k)
+            if empty:
+                assert surd_cmp(lo, hi) > 0, (a, k)
+
+
+def test_zero_windows_factory_ends_are_canonical():
+    # every end, factory-built or not, is the form Surd's validating
+    # constructor would store
+    radicands = [family(10**e) for e in (3, 6, 25, 150) for family in _FAMILIES]
+    for a, k_max in product([*range(3001), *radicands], (8, 200)):
+        for w in zero_windows(a, k_max):
+            for end in (w.lo, w.hi):
+                form = (end.p, end.q, end.d, end.r)
+                rebuilt = Surd(*form)
+                assert type(end) is Surd and form == (
+                    rebuilt.p, rebuilt.q, rebuilt.d, rebuilt.r
+                ), (a, k_max, w)
+                assert (end.q == 0) == (end.d == 0), (a, k_max, w)
 
 
 def _covered_denominators(a, k_max, s_max):
