@@ -345,26 +345,26 @@ def zero_windows(a: int, k_max: int) -> list[ZeroWindow]:
     exactly k = 0..K.
 
     K is found in integers from a's frame.  Both sides have the form
-    lo = k*X/d and hi = (k+1)*Y/(d+1), with d = b or c - 1, and X and Y
-    are base + sqrt(a) and base + sqrt(a+1) for base = n or m.  As
+    lo = k*X/den and hi = (k+1)*Y/(den+1), with den = b or c - 1, and X
+    and Y are base + sqrt(a) and base + sqrt(a+1) for base = n or m.  As
     n <= sqrt(a) <= sqrt(a+1) <= n + 1, both lie in [g, g+1] for
     g = base + n.  So the window is surely nonempty when
-    k*(g+1)/d <= (k+1)*g/(d+1), that is k*(g+d+1) <= g*d, and surely empty
-    when k*g/d > (k+1)*(g+1)/(d+1), that is k*(g-d) > (g+1)*d.  Only the
-    offsets between the two brackets, a tie, are settled exactly: stepping
-    down from the highest of them, one surd_cmp each, until one is
-    nonempty.  A window the brackets settle builds no ends unless it is
-    returned, and a tie builds its ends once, K's kept from its comparison.
-    One isqrt frames a.
+    k*(g+1)/den <= (k+1)*g/(den+1), that is k*(g+den+1) <= g*den, and
+    surely empty when k*g/den > (k+1)*(g+1)/(den+1), that is
+    k*(g-den) > (g+1)*den (_brackets).  Only the offsets between the two
+    brackets, a tie, are settled exactly: stepping down from the highest
+    of them, one surd_cmp each, until one is nonempty.  A window the
+    brackets settle builds no ends unless it is returned, and a tie builds
+    its ends once, K's kept from its comparison.  One isqrt frames a.
 
     The ends of windows with k >= 1 skip Surd's validating constructor
-    (_window_end), because its checks hold by construction: q = k or k + 1
-    is at least 1; r = d or d + 1 is at least 1, as the side has windows
-    past k = 0 only when d >= 1; and the radicand a or a + 1 is at least
-    1, as d >= 1 needs a >= 1 (a = 0 has b = 0 and c = 1).  So q, d and r
-    are stored as the constructor would store them.  The shared zero and
-    each k = 0 end go through Surd, because a = 0 needs its q = d = 0
-    normalisation.
+    (_window_end), because its checks hold by construction: the
+    coefficient q = k or k + 1 is at least 1; the denominator den or
+    den + 1 is at least 1, as the side has windows past k = 0 only when
+    den >= 1; and the radicand a or a + 1 is at least 1, as den >= 1 needs
+    a >= 1 (a = 0 has b = 0 and c = 1).  So the ends are stored as the
+    constructor would store them.  The shared zero and each k = 0 end go
+    through Surd, because a = 0 needs its q = d = 0 normalisation.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
@@ -402,31 +402,42 @@ def _window_end(p: int, q: int, d: int, r: int) -> Surd:
     return end
 
 
+def _brackets(g: int, den: int, k_max: int) -> tuple[int, int]:
+    """(sure, top) for a side of zero_windows whose ends are
+    lo = k*X/den and hi = (k+1)*Y/(den+1) with X and Y in [g, g+1] and
+    den >= 1: offsets k <= sure are surely nonempty and offsets k > top
+    surely empty, each taken as far as the bracket proves and capped at
+    k_max.  A k_max proved nonempty costs one product compare and no
+    division."""
+    if k_max * (g + den + 1) <= g * den:
+        return k_max, k_max
+    if g > den:
+        k_max = min(k_max, (g + 1) * den // (g - den))
+    return g * den // (g + den + 1), k_max
+
+
 def _side_windows(
-    side: str, k_max: int, zero: Surd, base: int, g: int, rad_lo: int, d: int, rad_hi: int
+    side: str, k_max: int, zero: Surd, base: int, g: int, rad_lo: int, den: int, rad_hi: int
 ) -> list[ZeroWindow]:
     """One side's windows k = 0..K for zero_windows, with ends
-    lo = k*(base + sqrt(rad_lo))/d and hi = (k+1)*(base + sqrt(rad_hi))/(d+1),
-    where g <= base + sqrt(rad) <= g + 1 for both radicands.  d = 0 leaves
+    lo = k*(base + sqrt(rad_lo))/den and
+    hi = (k+1)*(base + sqrt(rad_hi))/(den+1), where
+    g <= base + sqrt(rad) <= g + 1 for both radicands.  den = 0 leaves
     only k = 0, and the k = 0 window (lo = 0 < hi) is never empty."""
-    d1 = d + 1
-    k = k_max if d else 0
+    den1 = den + 1
+    sure, k = _brackets(g, den, k_max) if den else (0, 0)
     top = []  # K's window when a tie settles it, ends kept from the comparison
-    if k * (g + d1) > g * d:  # k_max is not surely nonempty
-        sure = g * d // (g + d1)  # k <= sure: surely nonempty
-        if g > d:
-            k = min(k, (g + 1) * d // (g - d))  # k above it: surely empty
-        while k > sure:
-            lo = _window_end(k * base, k, rad_lo, d)
-            hi = _window_end((k + 1) * base, k + 1, rad_hi, d1)
-            k -= 1
-            if surd_cmp(lo, hi) <= 0:
-                top.append(_new(ZeroWindow, (k + 1, lo, hi, side)))
-                break
-    windows = [_new(ZeroWindow, (0, zero, Surd(base, 1, rad_hi, d1), side))]
+    while k > sure:
+        lo = _window_end(k * base, k, rad_lo, den)
+        hi = _window_end((k + 1) * base, k + 1, rad_hi, den1)
+        k -= 1
+        if surd_cmp(lo, hi) <= 0:
+            top.append(_new(ZeroWindow, (k + 1, lo, hi, side)))
+            break
+    windows = [_new(ZeroWindow, (0, zero, Surd(base, 1, rad_hi, den1), side))]
     windows += [
-        _new(ZeroWindow, (j, _window_end(j * base, j, rad_lo, d),
-                          _window_end((j + 1) * base, j + 1, rad_hi, d1), side))
+        _new(ZeroWindow, (j, _window_end(j * base, j, rad_lo, den),
+                          _window_end((j + 1) * base, j + 1, rad_hi, den1), side))
         for j in range(1, k + 1)
     ]
     windows += top

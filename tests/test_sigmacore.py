@@ -1,6 +1,6 @@
 """Square-locating core: counts, witnesses, bounds and zero windows."""
 
-from itertools import product
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -599,7 +599,10 @@ def test_zero_windows_frames_a_once_and_builds_each_end_once(monkeypatch):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_any_scale, st.integers(min_value=1, max_value=64))
+@given(
+    st.one_of(st.integers(min_value=0, max_value=3000), _any_scale),
+    st.integers(min_value=1, max_value=64),
+)
 @example(0, 64)
 @example(1, 64)
 @example(3, 64)  # c = 1: left side only, b = 2n, so no bracket proves it empty
@@ -607,47 +610,57 @@ def test_zero_windows_frames_a_once_and_builds_each_end_once(monkeypatch):
 @example(10**200 - 1, 64)  # c = 1
 @example(10**200 + 10**100 - 1, 64)
 @example(10**12 + 7, 200)  # the left side's tie at k = 7
-def test_zero_windows_brackets_agree_with_surd_cmp(a, k_top):
-    # n <= sqrt(a) < n + 1 and n < sqrt(a + 1) <= n + 1 bracket each end;
-    # wherever a bracket decides a window, the exact comparison agrees
+def test_zero_windows_brackets_are_sound(a, k_max):
+    # each side's ends are k*X/den and (k+1)*Y/(den+1); zero_windows hands
+    # _brackets a g with X, Y in [g, g+1], _brackets' bounds are as far as
+    # that bracket proves, capped at k_max, and the exact comparison agrees
+    # with every offset they decide
     n = isqrt(a)
     b = a - n * n
     m = n + 1
     c = m * m - a
-    for k in range(1, k_top + 1):
-        sides = []
-        if b >= 1:
-            lo = Surd(k * n, k, a, b)
-            hi = Surd((k + 1) * n, k + 1, a + 1, b + 1)
-            full = k * (2 * n + 1) * (b + 1) <= (k + 1) * 2 * n * b
-            empty = k * 2 * n * (b + 1) > (k + 1) * (2 * n + 1) * b
-            sides.append((lo, hi, full, empty))
-        if c >= 2:
-            lo = Surd(k * m, k, a + 1, c - 1)
-            hi = Surd((k + 1) * m, k + 1, a, c)
-            full = k * 2 * m * c <= (k + 1) * (m + n) * (c - 1)
-            empty = k * (m + n) * c > (k + 1) * 2 * m * (c - 1)
-            sides.append((lo, hi, full, empty))
-        for lo, hi, full, empty in sides:
-            if full:
-                assert surd_cmp(lo, hi) <= 0, (a, k)
-            if empty:
-                assert surd_cmp(lo, hi) > 0, (a, k)
+    brackets, seen = sigmacore._brackets, []
+
+    def recorded(g, den, top):
+        seen.append((g, den))
+        return brackets(g, den, top)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sigmacore, "_brackets", recorded)
+        zero_windows(a, k_max)
+    # a zero den leaves only k = 0, with nothing to bracket
+    sides = [side for side in ((n, a, b, a + 1), (m, a + 1, c - 1, a)) if side[2]]
+    assert [den for _, den in seen] == [side[2] for side in sides], a
+    for (base, rad_lo, den, rad_hi), (g, _) in zip(sides, seen):
+        for rad in (rad_lo, rad_hi):
+            assert base <= g and (g - base) ** 2 <= rad <= (g + 1 - base) ** 2, (a, g)
+        sure, top = brackets(g, den, k_max)
+
+        def full(k):
+            return Fraction(k * (g + 1), den) <= Fraction((k + 1) * g, den + 1)
+
+        def empty(k):
+            return Fraction(k * g, den) > Fraction((k + 1) * (g + 1), den + 1)
+
+        assert full(sure) and (sure == k_max or not full(sure + 1)), (a, g, den)
+        assert not empty(top) and (top == k_max or empty(top + 1)), (a, g, den)
+        for k in range(1, k_max + 1):
+            lo = Surd(k * base, k, rad_lo, den)
+            hi = Surd((k + 1) * base, k + 1, rad_hi, den + 1)
+            if k <= sure:
+                assert surd_cmp(lo, hi) <= 0, (a, g, den, k)
+            if k > top:
+                assert surd_cmp(lo, hi) > 0, (a, g, den, k)
 
 
-def test_zero_windows_factory_ends_are_canonical():
-    # every end, factory-built or not, is the form Surd's validating
-    # constructor would store
+def test_zero_windows_match_the_scan_for_every_small_a():
+    # exhaustive inputs for the scan comparison: every a <= 3000 at k_max 200
+    # and the 16 family radicands at k_max 8 and 200
     radicands = [family(10**e) for e in (3, 6, 25, 150) for family in _FAMILIES]
-    for a, k_max in product([*range(3001), *radicands], (8, 200)):
-        for w in zero_windows(a, k_max):
-            for end in (w.lo, w.hi):
-                form = (end.p, end.q, end.d, end.r)
-                rebuilt = Surd(*form)
-                assert type(end) is Surd and form == (
-                    rebuilt.p, rebuilt.q, rebuilt.d, rebuilt.r
-                ), (a, k_max, w)
-                assert (end.q == 0) == (end.d == 0), (a, k_max, w)
+    calls = [(a, 200) for a in range(3001)]
+    calls += [(a, k_max) for a in radicands for k_max in (8, 200)]
+    for a, k_max in calls:
+        assert repr(zero_windows(a, k_max)) == repr(zero_windows_scan(a, k_max)), (a, k_max)
 
 
 def _covered_denominators(a, k_max, s_max):
