@@ -654,11 +654,10 @@ def test_zero_windows_brackets_are_sound(a, k_max):
 
 
 def test_zero_windows_match_the_scan_for_every_small_a():
-    # exhaustive inputs for the scan comparison: every a <= 3000 at k_max 200
-    # and the 16 family radicands at k_max 8 and 200
+    # exhaustive inputs for the scan comparison: every a <= 3000 and the 16
+    # family radicands, at k_max 8 and 200
     radicands = [family(10**e) for e in (3, 6, 25, 150) for family in _FAMILIES]
-    calls = [(a, 200) for a in range(3001)]
-    calls += [(a, k_max) for a in radicands for k_max in (8, 200)]
+    calls = [(a, k_max) for a in [*range(3001), *radicands] for k_max in (8, 200)]
     for a, k_max in calls:
         assert repr(zero_windows(a, k_max)) == repr(zero_windows_scan(a, k_max)), (a, k_max)
 
