@@ -1,12 +1,10 @@
 """Square-locating core: counts, witnesses, bounds and zero windows."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqdenom import sigmacore
+from sqdenom import exactmath, sigmacore
 from sqdenom.confrac import first_pair_between, is_first_rational_between
 from sqdenom.exactmath import Surd, isqrt, surd_cmp
 from sqdenom.sigmacore import (
@@ -377,9 +375,10 @@ def test_sigma_k_floor_matches_surd_floor_at_every_scale(a, k):
     assert sigma_k(a, k) == _sigma_k_by_surds(a, k)
 
 
-@settings(max_examples=300)
+@settings(max_examples=600, deadline=None)
 @given(
     st.one_of(
+        _any_scale,
         st.integers(min_value=0, max_value=10**6),
         st.builds(
             lambda n, family: family(n),
@@ -389,20 +388,65 @@ def test_sigma_k_floor_matches_surd_floor_at_every_scale(a, k):
     ),
     st.integers(min_value=0, max_value=64),
 )
-def test_zero_windows_match_per_k_scan(a, k_max):
+@example(0, 64)
+@example(3, 200)  # c = 1: right k = 0 only; left ends at K = b = 2 = 2n
+@example(10**4 + 1, 250)  # both sides end below k_max: K = b = 1, K = c - 2 = 198
+@example(10**200, 64)  # a = n^2: b = 0, no shifted left window
+@example(10**200 - 1, 64)  # a = m^2 - 1: c = 1, no shifted right window
+@example(10**200 + 10**100 - 1, 64)  # n^2 + n - 1: both sides full
+@example(10**12 + 7, 200)  # the left side ends at K = b = 7
+def test_zero_windows_match_the_scan_at_every_scale(a, k_max):
     # repr pins k, side, order and the stored Surd forms, not just values
     assert repr(zero_windows(a, k_max)) == repr(zero_windows_scan(a, k_max))
 
 
+def _assert_last_offsets_are_b_and_c_minus_2(a):
+    # zero_windows reads each side's last nonempty offset K off a's frame;
+    # check it with the public Surd: on the left window b is nonempty and
+    # b + 1 empty, on the right c - 2 is nonempty and c - 1 empty; returns
+    # (b, c)
+    n = isqrt(a)
+    b = a - n * n
+    m = n + 1
+    c = m * m - a
+
+    def nonempty(k, base, rad_lo, den, rad_hi):
+        lo = Surd(k * base, k, rad_lo, den)
+        return surd_cmp(lo, Surd((k + 1) * base, k + 1, rad_hi, den + 1)) <= 0
+
+    if b >= 1:
+        assert nonempty(b, n, a, b, a + 1), a
+        assert not nonempty(b + 1, n, a, b, a + 1), a
+    if c >= 3:
+        assert nonempty(c - 2, m, a + 1, c - 1, a), a
+    if c >= 2:
+        assert not nonempty(c - 1, m, a + 1, c - 1, a), a
+    return b, c
+
+
 @settings(max_examples=300, deadline=None)
-@given(_any_scale, st.integers(min_value=0, max_value=64))
-@example(0, 64)
-@example(10**200, 64)  # a = n^2: b = 0, no shifted left window
-@example(10**200 - 1, 64)  # a = m^2 - 1: c = 1, no shifted right window
-@example(10**200 + 10**100 - 1, 64)  # n^2 + n - 1: both sides full
-@example(10**12 + 7, 200)  # the left side steps down to k = 7
-def test_zero_windows_match_the_scan_at_every_scale(a, k_max):
-    assert repr(zero_windows(a, k_max)) == repr(zero_windows_scan(a, k_max))
+@given(_any_scale)
+@example(0)
+@example(1)
+@example(2)
+@example(3)
+@example(10**200 - 1)  # b = 2n
+@example(10**200)  # b = 0
+@example(10**200 + 1)  # c = 2n
+@example((10**100 + 1) ** 2 - 2)  # c = 2
+@example(10**12 + 7)
+def test_zero_windows_last_offsets_are_b_and_c_minus_2(a):
+    _assert_last_offsets_are_b_and_c_minus_2(a)
+
+
+def test_zero_windows_last_offsets_for_every_small_a():
+    # every a <= 3000 has b, c - 2 <= 108, so a k_max of 10^18 returns
+    # each side in full: K + 1 windows
+    for a in range(3001):
+        b, c = _assert_last_offsets_are_b_and_c_minus_2(a)
+        sides = [w.side for w in zero_windows(a, 10**18)]
+        assert sides.count("left-crowding") == b + 1, a
+        assert sides.count("right-crowding") == max(c - 2, 0) + 1, a
 
 
 @settings(max_examples=300, deadline=None)
@@ -518,28 +562,22 @@ def test_certified_pairs_have_one_witness(a):
     assert sigmacore._certified_pair_in_frame(a, dc.n, dc.b + 1) == (t, s), a
 
 
-def test_zero_windows_step_down_from_k_max(monkeypatch):
-    calls = 0
+def test_zero_windows_make_no_exact_comparison(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("exact comparison made")
 
-    def counted(x, y):
-        nonlocal calls
-        calls += 1
-        return surd_cmp(x, y)
-
-    monkeypatch.setattr(sigmacore, "surd_cmp", counted)
-    # the frame's brackets settle every side at k_max but n^2+7's left,
-    # where k = 8 is surely empty and k = 7 is a tie, nonempty.  The per-k
-    # scan made 224.
+    # every surd_cmp, and so every Surd ==, < and sort, reaches this
+    monkeypatch.setattr(exactmath, "_sign_two_radicals", refuse)
     for e in (3, 6, 25, 150):
         for family in _FAMILIES:
             zero_windows(family(10**e), 8)
-    assert calls == 4
-    calls = 0
-    ws = zero_windows(10**12 + 7, 200)
-    # left: 200 down to 8 surely empty, 7 the one tie; right: surely full.
-    # The scan made 402
-    assert calls == 1
-    assert ws == zero_windows(10**12 + 7, 200)
+    zero_windows(10**12 + 7, 200)
+    # K is read off the frame, so k_max bounds nothing here: K = 2 and 0
+    assert [(w.k, w.side) for w in zero_windows(3, 10**18)] == [
+        (0, "left-crowding"), (0, "right-crowding"), (1, "left-crowding"), (2, "left-crowding"),
+    ]
+    ws = zero_windows(10**6 + 7, 10**6)  # K = b = 7 and K = c - 2 = 1992
+    assert len(ws) == 2001
     with pytest.raises(TypeError):
         hash(ws[0])
 
@@ -548,7 +586,7 @@ def test_zero_windows_frames_a_once_and_builds_each_end_once(monkeypatch):
     def refuse(a):
         raise AssertionError("decompose called")
 
-    roots, built, ends, failed = [], 0, 0, 0
+    roots, built, ends = [], 0, 0
 
     def counted_isqrt(x):
         roots.append(x)
@@ -568,89 +606,25 @@ def test_zero_windows_frames_a_once_and_builds_each_end_once(monkeypatch):
         ends += 1
         return window_end(*args)
 
-    def counted_cmp(x, y):
-        nonlocal failed
-        result = surd_cmp(x, y)
-        failed += result > 0
-        return result
-
     monkeypatch.setattr(sigmacore, "decompose", refuse)
     monkeypatch.setattr(sigmacore, "isqrt", counted_isqrt)
     monkeypatch.setattr(Surd, "__init__", counted_init)
     monkeypatch.setattr(sigmacore, "_window_end", counted_end)
-    monkeypatch.setattr(sigmacore, "surd_cmp", counted_cmp)
     calls = [(family(10**e), 8) for e in (3, 6, 25, 150) for family in _FAMILIES]
     public, factory = [], []
     for a, k_max in calls + [(10**12 + 7, 200)]:
         roots.clear()
-        built = ends = failed = 0
+        built = ends = 0
         ws = zero_windows(a, k_max)
         assert roots == [a], a
-        # the shared zero and each k = 0 end through Surd; the k >= 1 ends
-        # returned, and both ends of each tie that was empty, from the factory
+        # the shared zero and each k = 0 end through Surd; both ends of
+        # every k >= 1 window from the factory, and no end of an empty one
         assert built == 1 + sum(w.k == 0 for w in ws), a
-        assert ends == sum(2 for w in ws if w.k) + 2 * failed, a
+        assert ends == sum(2 for w in ws if w.k), a
         public.append(built)
         factory.append(ends)
-    # the 16 family radicands at k_max 8: a window the brackets prove empty
-    # builds no ends
     assert (sum(public[:16]), sum(factory[:16])) == (48, 376)
-    assert failed == 0  # (10^12 + 7, 200): the one tie, k = 7, is nonempty
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.one_of(st.integers(min_value=0, max_value=3000), _any_scale),
-    st.integers(min_value=1, max_value=64),
-)
-@example(0, 64)
-@example(1, 64)
-@example(3, 64)  # c = 1: left side only, b = 2n, so no bracket proves it empty
-@example(10**200, 64)  # b = 0
-@example(10**200 - 1, 64)  # c = 1
-@example(10**200 + 10**100 - 1, 64)
-@example(10**12 + 7, 200)  # the left side's tie at k = 7
-def test_zero_windows_brackets_are_sound(a, k_max):
-    # each side's ends are k*X/den and (k+1)*Y/(den+1); zero_windows hands
-    # _brackets a g with X, Y in [g, g+1], _brackets' bounds are as far as
-    # that bracket proves, capped at k_max, and the exact comparison agrees
-    # with every offset they decide
-    n = isqrt(a)
-    b = a - n * n
-    m = n + 1
-    c = m * m - a
-    brackets, seen = sigmacore._brackets, []
-
-    def recorded(g, den, top):
-        seen.append((g, den))
-        return brackets(g, den, top)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sigmacore, "_brackets", recorded)
-        zero_windows(a, k_max)
-    # a zero den leaves only k = 0, with nothing to bracket
-    sides = [side for side in ((n, a, b, a + 1), (m, a + 1, c - 1, a)) if side[2]]
-    assert [den for _, den in seen] == [side[2] for side in sides], a
-    for (base, rad_lo, den, rad_hi), (g, _) in zip(sides, seen):
-        for rad in (rad_lo, rad_hi):
-            assert base <= g and (g - base) ** 2 <= rad <= (g + 1 - base) ** 2, (a, g)
-        sure, top = brackets(g, den, k_max)
-
-        def full(k):
-            return Fraction(k * (g + 1), den) <= Fraction((k + 1) * g, den + 1)
-
-        def empty(k):
-            return Fraction(k * g, den) > Fraction((k + 1) * (g + 1), den + 1)
-
-        assert full(sure) and (sure == k_max or not full(sure + 1)), (a, g, den)
-        assert not empty(top) and (top == k_max or empty(top + 1)), (a, g, den)
-        for k in range(1, k_max + 1):
-            lo = Surd(k * base, k, rad_lo, den)
-            hi = Surd((k + 1) * base, k + 1, rad_hi, den + 1)
-            if k <= sure:
-                assert surd_cmp(lo, hi) <= 0, (a, g, den, k)
-            if k > top:
-                assert surd_cmp(lo, hi) > 0, (a, g, den, k)
+    assert (public[16], factory[16]) == (3, 414)  # K = 7 left, 200 right
 
 
 def test_zero_windows_match_the_scan_for_every_small_a():
