@@ -375,10 +375,9 @@ def test_sigma_k_floor_matches_surd_floor_at_every_scale(a, k):
     assert sigma_k(a, k) == _sigma_k_by_surds(a, k)
 
 
-@settings(max_examples=600, deadline=None)
+@settings(max_examples=300)
 @given(
     st.one_of(
-        _any_scale,
         st.integers(min_value=0, max_value=10**6),
         st.builds(
             lambda n, family: family(n),
@@ -388,6 +387,13 @@ def test_sigma_k_floor_matches_surd_floor_at_every_scale(a, k):
     ),
     st.integers(min_value=0, max_value=64),
 )
+def test_zero_windows_match_per_k_scan(a, k_max):
+    # repr pins k, side, order and the stored Surd forms, not just values
+    assert repr(zero_windows(a, k_max)) == repr(zero_windows_scan(a, k_max))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_scale, st.integers(min_value=0, max_value=64))
 @example(0, 64)
 @example(3, 200)  # c = 1: right k = 0 only; left ends at K = b = 2 = 2n
 @example(10**4 + 1, 250)  # both sides end below k_max: K = b = 1, K = c - 2 = 198
@@ -396,7 +402,6 @@ def test_sigma_k_floor_matches_surd_floor_at_every_scale(a, k):
 @example(10**200 + 10**100 - 1, 64)  # n^2 + n - 1: both sides full
 @example(10**12 + 7, 200)  # the left side ends at K = b = 7
 def test_zero_windows_match_the_scan_at_every_scale(a, k_max):
-    # repr pins k, side, order and the stored Surd forms, not just values
     assert repr(zero_windows(a, k_max)) == repr(zero_windows_scan(a, k_max))
 
 
