@@ -36,6 +36,13 @@ CONJECTURE1_MAX_FINDINGS = 10**6
 # count comes before any sigma is computed.
 SYMMETRY_MAX_COMPARISONS = 10**6
 
+# The most values of s an upward_closure_check scan visits, one tau call
+# each: about 2*sqrt(a) of them once s_max passes the last possible fall,
+# so a = 10^21 + 7 would take some 6*10^10 calls.  The count comes before
+# any tau call.  A scan of 10^7 steps (a = 25*10^12 - 10^6) took 11.8 s on
+# a 2-vCPU x86-64 VM with Python 3.11; a = 10^12 + 7 takes 2*10^6, 1.7 s.
+CLOSURE_MAX_STEPS = 10**7
+
 __all__ = [
     "SweepRecord",
     "sweep",
@@ -102,7 +109,7 @@ def sweep(a_from: int, a_to: int) -> list[SweepRecord]:
     it the certified kernel call (_sweep_rows).  This call never forks, as
     a library call must not start processes behind its caller's back; the
     `sqdenom sweep` command formats the same row tuples into CSV or JSON
-    text in its own process (cli._block_text).
+    text in its own process (cli.cmd_sweep).
     """
     return list(map(SweepRecord._make, _sweep_rows(a_from, a_to)))
 
@@ -239,19 +246,24 @@ def k_set(n: int) -> set[int]:
     return {row[5] for row in _sweep_rows(n * n + 1, (n + 1) ** 2 - 1)}
 
 
+def _last_fall(a: int, k: int) -> int:
+    """The last s at which tau(a, s) can fall from k.  tau(a, s+1) counts
+    the integers in an open interval of length (s+1)*(sqrt(a+1) - sqrt(a)),
+    so it is at least ceil of that length minus 1, and a fall from k at s
+    needs s + 1 < k*(sqrt(a) + sqrt(a+1)), that is s <= k*sigma_upper(a) - 2."""
+    return k * sigma_upper(a) - 2
+
+
 def _tau_decrements(a: int, s_max: int, k_max: int):
     """Yield (s, k) for each s <= s_max with tau(a, s) = k, tau(a, s+1) = k-1:
     every such s for k <= k_max, and those below the scan's end for larger k.
 
-    tau steps by at most 1, so every fall is a fall by exactly 1.  tau(a, s+1)
-    counts the integers in an open interval of length (s+1)*(sqrt(a+1) -
-    sqrt(a)), so it is at least ceil of that length minus 1, and a fall from
-    k at s needs s + 1 < k*(sqrt(a) + sqrt(a+1)), that is s <=
-    k*sigma_upper(a) - 2: the scan ends there for k = k_max, or at s_max.
-    The count is carried forward, one tau call per s.
+    tau steps by at most 1, so every fall is a fall by exactly 1.  The scan
+    visits s = 1..min(s_max, _last_fall(a, k_max)), carrying the count
+    forward, one tau call per s.
     """
     prev = tau(a, 1)
-    for s in range(1, min(s_max, k_max * sigma_upper(a) - 2) + 1):
+    for s in range(1, min(s_max, _last_fall(a, k_max)) + 1):
         cur = tau(a, s + 1)
         if cur < prev:
             yield s, prev
@@ -265,8 +277,8 @@ def conjecture1_search(a_max: int, k_max: int, s_max: int) -> dict[int, list[int
     tau(a, s+1) = k-1, or None when there is none.  a = n^2 and n^2 - 1
     are left out: their tau profiles are nondecreasing, so no decrement
     step exists there.  Each a gets one tau scan over s, which ends once
-    every k has its witness, and never passes k_max*sigma_upper(a) - 2,
-    past which no fall from k <= k_max exists (_tau_decrements).  A table
+    every k has its witness, and never passes _last_fall(a, k_max), past
+    which no fall from k <= k_max exists (_tau_decrements).  A table
     of more than CONJECTURE1_MAX_FINDINGS findings, counted as
     (a_max - 1)*k_max, is refused before any scan.
     """
@@ -296,10 +308,16 @@ def conjecture1_search(a_max: int, k_max: int, s_max: int) -> dict[int, list[int
 
 def upward_closure_check(a: int, s_max: int) -> list[int]:
     """All s <= s_max where tau(a, s) > 0 but tau(a, s+1) = 0: the
-    decrements from 1 to 0, none of them past sigma_upper(a) - 2, where
-    the scan stops (_tau_decrements)."""
+    decrements from 1 to 0, none of them past _last_fall(a, 1), where the
+    scan stops (_tau_decrements).  A scan of more than CLOSURE_MAX_STEPS
+    values of s, counted as min(s_max, _last_fall(a, 1)), is refused before
+    any tau call."""
     if a < 1:
         raise ValueError("a must be >= 1")
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
+    steps = min(s_max, _last_fall(a, 1))
+    if steps > CLOSURE_MAX_STEPS:
+        raise ValueError(
+            f"closure would scan {steps} values of s, over the cap of {CLOSURE_MAX_STEPS}")
     return [s for s, k in _tau_decrements(a, s_max, 1) if k == 1]

@@ -16,11 +16,6 @@ import argparse
 import contextlib
 import sys
 
-# The most witnesses `tset` prints.  tau(a, s) counts them in O(1) but has
-# no bound of its own (tau(0, s) = s - 1), so the command checks the count
-# before it builds the list.
-TSET_MAX_WITNESSES = 10**6
-
 
 def _output(path: str | None):
     """Context manager for a command's output: stdout, or the --out file.
@@ -48,15 +43,9 @@ def cmd_tau(args) -> int:
 
 
 def cmd_tset(args) -> int:
-    from .sigmacore import t_set, tau
+    from .sigmacore import t_set
 
-    count = tau(args.a, args.s)
-    if count > TSET_MAX_WITNESSES:
-        raise ValueError(
-            f"tset would print {count} witnesses, over the cap of {TSET_MAX_WITNESSES}"
-        )
-    ts = t_set(args.a, args.s)
-    print("{" + ", ".join(str(t) for t in ts) + "}")
+    print("{" + ", ".join(str(t) for t in t_set(args.a, args.s)) + "}")
     return 0
 
 
@@ -81,30 +70,22 @@ _JSON_ROW = ('  {\n    "a": %d,\n    "min_k": %d,\n    "on_bound": %s,\n    "sig
              '    "sigma1": %d,\n    "t_first": %d,\n    "upper": %d\n  }')
 
 
-def _block_text(lo: int, hi: int, fmt: str) -> str:
-    """Rows lo..hi as text straight from their tuples: figures.write_csv's lines
-    without the header, or the JSON objects without the enclosing "[\n", "\n]"."""
-    from .analysis import _sweep_rows
-
-    rows = _sweep_rows(lo, hi)
-    if fmt == "json":
-        return ",\n".join([_JSON_ROW % (a, k, "true" if on else "false", s, s1, t, up)
-                            for a, s, s1, up, on, k, t in rows])
-    return "".join(["%d,%d,%d,%d,%d,%d,%d\n" % r for r in rows])
-
-
 def cmd_sweep(args) -> int:
-    from .analysis import SweepRecord
+    """The rows of analysis._sweep_rows, formatted straight from their
+    tuples: figures.write_csv's lines under the header, or the list of row
+    dicts as json.dumps writes it.  The text is built before the output
+    opens, so a failing sweep writes nothing."""
+    from .analysis import SweepRecord, _sweep_rows
 
-    text = _block_text(args.a_from, args.a_to, args.format)
-    with _output(args.out) as fh:
-        if args.format == "json":  # three writes: a `+` would copy the text again
-            fh.write("[\n")
-            fh.write(text)
-            fh.write("\n]\n")
-        else:
-            fh.write(",".join(SweepRecord._fields) + "\n")
-            fh.write(text)
+    rows = _sweep_rows(args.a_from, args.a_to)
+    if args.format == "json":
+        parts = ("[\n", ",\n".join([_JSON_ROW % (a, k, "true" if on else "false", s, s1, t, up)
+                                     for a, s, s1, up, on, k, t in rows]), "\n]\n")
+    else:
+        parts = (",".join(SweepRecord._fields) + "\n",
+                 "".join(["%d,%d,%d,%d,%d,%d,%d\n" % r for r in rows]))
+    with _output(args.out) as fh:  # in parts: a `+` would copy the text again
+        fh.writelines(parts)
     return 0
 
 
@@ -218,14 +199,12 @@ def _report_conjecture1(args) -> dict:
 
 
 def _report_closure(args) -> dict:
-    from .analysis import upward_closure_check
-    from .sigmacore import sigma_upper
+    from .analysis import _last_fall, upward_closure_check
 
     violations = upward_closure_check(args.a, args.s_max)
-    # no drop from 1 to 0 lies past sigma_upper(a) - 2 (analysis._tau_decrements)
     if violations:
         verdict = "fail"  # a violation is a definite exact finding
-    elif args.s_max >= sigma_upper(args.a) - 2:
+    elif args.s_max >= _last_fall(args.a, 1):
         verdict = "pass"
     else:
         verdict = "indeterminate"

@@ -49,6 +49,10 @@ __all__ = [
 ]
 
 
+# The most witnesses t_set returns: their count tau(0, s) = s - 1 has no bound.
+TSET_MAX_WITNESSES = 10**6
+
+
 class ConsistencyError(RuntimeError):
     """An exact internal cross-check failed: a library defect, not bad input."""
 
@@ -131,9 +135,15 @@ def tau_columns(a_lo: int, a_hi: int, s_lo: int, s_hi: int) -> list[list[int]]:
 
 
 def t_set(a: int, s: int) -> list[int]:
-    """The witnesses themselves: ascending t with s^2*a < t^2 < s^2*(a+1)."""
+    """The witnesses themselves: ascending t with s^2*a < t^2 < s^2*(a+1).
+    More than TSET_MAX_WITNESSES, counted from the range's ends, are refused
+    before any list is built."""
     _check_pair(a, s)
-    return list(range(isqrt(s * s * a) + 1, isqrt(s * s * (a + 1) - 1) + 1))
+    lo = isqrt(s * s * a) + 1
+    end = isqrt(s * s * (a + 1) - 1) + 1
+    if end - lo > TSET_MAX_WITNESSES:
+        raise ValueError(f"tset would print {end - lo} witnesses, over the cap of {TSET_MAX_WITNESSES}")
+    return list(range(lo, end))
 
 
 def _top_floor(k: int, n: int, root: int, root1: int, b1: int, c: int) -> int:

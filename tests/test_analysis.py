@@ -1,5 +1,6 @@
 """Sweeps and empirical structure reports over square intervals."""
 
+import contextlib
 import csv
 import io
 from collections import Counter
@@ -99,7 +100,10 @@ def test_sweep_rows_match_the_per_row_oracle(a_from, rows):
     a_to = a_from + rows - 1
     want = [sweep_record(a) for a in range(a_from, a_to + 1)]
     assert sweep(a_from, a_to) == want
-    assert cli._block_text(a_from, a_to, "csv") == "".join(
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["sweep", "--from", str(a_from), "--to", str(a_to)]) == 0
+    assert out.getvalue() == "a,sigma,sigma1,upper,on_bound,min_k,t_first\n" + "".join(
         "%d,%d,%d,%d,%d,%d,%d\n" % r for r in want)
 
 
@@ -535,6 +539,37 @@ def test_decrement_scans_cost_the_bound_not_s_max(monkeypatch):
     assert all(s <= 4 * sigma_upper(a) - 1 for a, s in scanned.items())
     # a = 26 = 5^2 + 1 has no witness at all, so its scan runs to the bound
     assert scanned[26] == 4 * sigma_upper(26) - 1
+
+
+def test_last_fall_is_the_last_s_the_decrement_scan_visits(monkeypatch):
+    visited = []
+    count = analysis.tau
+    monkeypatch.setattr(analysis, "tau", lambda a, s: visited.append(s) or count(a, s))
+    for a in range(1, 301):
+        for k in range(1, 5):
+            visited.clear()
+            list(analysis._tau_decrements(a, 10**12, k))
+            # the scan at s asks tau for s + 1
+            assert max(visited) - 1 == analysis._last_fall(a, k), (a, k)
+
+
+def test_upward_closure_check_refuses_a_scan_over_the_cap(monkeypatch):
+    assert analysis.CLOSURE_MAX_STEPS == 10**7  # the documented cap
+    # min(s_max, _last_fall(a, 1)) is counted before any tau call
+    monkeypatch.setattr(analysis, "tau", lambda a, s: pytest.fail("scanned"))
+    with pytest.raises(ValueError, match=r"^closure would scan 63245553202 values of s, "
+                                         r"over the cap of 10000000$"):
+        upward_closure_check(10**21 + 7, 10**12)
+    # at a lowered cap a scan of the cap runs and one step more is refused:
+    # a = 12 and 19 can fall from 1 up to s = 6 and 7 (_last_fall)
+    monkeypatch.setattr(analysis, "CLOSURE_MAX_STEPS", 6)
+    for s_max in (7, 10**12):
+        with pytest.raises(ValueError, match=r"^closure would scan 7 values of s, "
+                                             r"over the cap of 6$"):
+            upward_closure_check(19, s_max)
+    monkeypatch.setattr(analysis, "tau", tau)
+    assert upward_closure_check(12, 10**12) == [2]
+    assert upward_closure_check(19, 6) == [5]
 
 
 def test_conjecture1_search_refuses_a_table_over_the_cap(monkeypatch):

@@ -1,6 +1,7 @@
 """Command-line surface: output formats, exit codes, determinism."""
 
 import ast
+import contextlib
 import csv
 import hashlib
 import io
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sqdenom
-from sqdenom import analysis, cli, confrac, figures, sigmacore
+from sqdenom import analysis, confrac, figures, sigmacore
 from sqdenom.cli import main
 from sqdenom.figures import heatmap_data
 
@@ -107,7 +108,7 @@ def test_first_square_prints_answers_past_the_digit_limit(capsys):
 
 
 def test_tset_refuses_more_witnesses_than_the_cap(capsys):
-    cap = cli.TSET_MAX_WITNESSES
+    cap = sigmacore.TSET_MAX_WITNESSES
     assert cap == 10**6  # the documented cap
     # tau(0, s) = s - 1 witnesses, counted before any list is built
     for s in (10**12, cap + 2):
@@ -301,6 +302,13 @@ def test_analyze_closure(capsys):
         code, out, _ = run(capsys, "analyze", "closure", "--a", str(a), "--s-max", str(s_max))
         rep = json.loads(out)
         assert (code, rep["verdict"], rep["violations"]) == (0, verdict, violations), a
+
+
+def test_analyze_closure_refuses_a_scan_over_the_cap(capsys, monkeypatch):
+    # --a 10**21+7 once scanned for hours: 63245553202 values of s, counted first
+    monkeypatch.setattr(analysis, "tau", lambda a, s: pytest.fail("scanned"))
+    assert run(capsys, "analyze", "closure", "--a", str(10**21 + 7), "--s-max", str(10**12)) == (
+        2, "", "error: closure would scan 63245553202 values of s, over the cap of 10000000\n")
 
 
 def test_analyze_kset(capsys):
@@ -513,7 +521,10 @@ def test_output_bytes_are_pinned(capsys):
 def test_json_sweep_block_matches_json_dumps(lo, rows):
     hi = lo + rows - 1
     objects = [r._asdict() for r in analysis.sweep(lo, hi)]
-    assert cli._block_text(lo, hi, "json") == json.dumps(objects, indent=2, sort_keys=True)[2:-2]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["sweep", "--from", str(lo), "--to", str(hi), "--format", "json"]) == 0
+    assert out.getvalue() == json.dumps(objects, indent=2, sort_keys=True) + "\n"
 
 
 # --- the sweep in one process -----------------------------------------------
@@ -541,15 +552,15 @@ def test_sweep_writes_the_split_bytes_in_one_process(capsys, monkeypatch):
 
     monkeypatch.setattr(os, "fork", refuse)
     monkeypatch.setattr(os, "pipe", refuse)
-    block_text = cli._block_text
+    sweep_rows = analysis._sweep_rows
     calls = []
-    monkeypatch.setattr(cli, "_block_text",
-                        lambda lo, hi, fmt: calls.append((lo, hi, fmt)) or block_text(lo, hi, fmt))
+    monkeypatch.setattr(analysis, "_sweep_rows",
+                        lambda lo, hi: calls.append((lo, hi)) or sweep_rows(lo, hi))
     for fmt, digest in SWEEP_9000_SHA256.items():
         code, out, err = run(capsys, "sweep", "--from", "1", "--to", "9000", "--format", fmt)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
-    assert calls == [(1, 9000, "csv"), (1, 9000, "json")]
+    assert calls == [(1, 9000), (1, 9000)]
 
 
 def test_sweep_fails_at_the_lowest_a_and_writes_nothing(capsys, monkeypatch, tmp_path):

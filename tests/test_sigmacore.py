@@ -112,6 +112,17 @@ def test_t_set_witnesses_are_exact():
                 assert s * s * a < t * t < s * s * (a + 1)
 
 
+def test_t_set_refuses_more_witnesses_than_the_cap():
+    cap = sigmacore.TSET_MAX_WITNESSES
+    # t_set(0, s) = [1, ..., s - 1]: the cap at s = cap + 1, one over at cap + 2
+    ts = t_set(0, cap + 1)
+    assert (len(ts), ts[0], ts[-1]) == (cap, 1, cap)
+    for s in (cap + 2, cap + 3):
+        with pytest.raises(ValueError, match=rf"^tset would print {s - 1} witnesses, "
+                                             rf"over the cap of {cap}$"):
+            t_set(0, s)
+
+
 def test_interval_midpoint_family():
     # a = n^2 + n always admits (2n+1)/2 and nothing else at denominator 2
     for n in range(1, 60):
