@@ -36,11 +36,13 @@ CONJECTURE1_MAX_FINDINGS = 10**6
 # count comes before any sigma is computed.
 SYMMETRY_MAX_COMPARISONS = 10**6
 
-# The most values of s an upward_closure_check scan visits, one tau call
-# each: about 2*sqrt(a) of them once s_max passes the last possible fall,
-# so a = 10^21 + 7 would take some 6*10^10 calls.  The count comes before
-# any tau call.  A scan of 10^7 steps (a = 25*10^12 - 10^6) took 11.8 s on
-# a 2-vCPU x86-64 VM with Python 3.11; a = 10^12 + 7 takes 2*10^6, 1.7 s.
+# The most crowding windows an upward_closure_check reads, two isqrt calls
+# each: min(b, c - 2, s_max) of them, with a = n^2 + b = (n+1)^2 - c, so
+# a = 10^21 + 7 at s_max 10^12 would take 19,998,666,395 windows, while
+# 10^12 + 7 and 10^24 + 7 take 7 each.  The count comes before any window
+# is read.  Reading 10^7 windows (a = 10^16 + 10^7, 9,523,809 drops,
+# counted without a list) took 10.9 s on a 2-vCPU x86-64 VM with Python
+# 3.11; at a near 10^300 a window costs about 4.6 us, so some 46 s there.
 CLOSURE_MAX_STEPS = 10**7
 
 __all__ = [
@@ -307,17 +309,77 @@ def conjecture1_search(a_max: int, k_max: int, s_max: int) -> dict[int, list[int
 
 
 def upward_closure_check(a: int, s_max: int) -> list[int]:
-    """All s <= s_max where tau(a, s) > 0 but tau(a, s+1) = 0: the
-    decrements from 1 to 0, none of them past _last_fall(a, 1), where the
-    scan stops (_tau_decrements).  A scan of more than CLOSURE_MAX_STEPS
-    values of s, counted as min(s_max, _last_fall(a, 1)), is refused before
-    any tau call."""
+    """All s <= s_max where tau(a, s) > 0 but tau(a, s+1) = 0, in order:
+    the drops from 1 to 0, read off one side's crowding windows
+    (sigmacore.zero_windows) in integers, with no tau call.
+
+    Either side's windows alone hold tau's zero set.  Take a side as
+    (base, rad_lo, den, rad_hi) = (n, a, b, a + 1) on the left or
+    (m, a + 1, c - 1, a) on the right, so that window j is [lo_j, hi_j]
+    with lo_j = j*(base + sqrt(rad_lo))/den and
+    hi_j = (j+1)*(base + sqrt(rad_hi))/(den+1).  On the left, for s >= 1
+    write floor(s*sqrt(a)) = s*n + j, j >= 0 (at b = 0, s*sqrt(a) = s*n
+    and j = 0).  The least integer above s*sqrt(a) is s*n + j + 1, so
+    tau(a, s) = 0 iff s*n + j + 1 >= s*sqrt(a+1), that is
+    s*(sqrt(a+1) - n) <= j + 1, or s <= hi_j; and for b >= 1,
+    s*(sqrt(a) - n) lies in [j, j+1), that is lo_j <= s < lo_{j+1}.  On
+    the right write ceil(s*sqrt(a+1)) = s*m - j, j >= 0 (at c = 1,
+    s*sqrt(a+1) = s*m and j = 0).  The greatest integer below
+    s*sqrt(a+1) is s*m - j - 1, so tau(a, s) = 0 iff
+    s*(m - sqrt(a)) <= j + 1, or s <= hi_j; and for c >= 2,
+    s*(m - sqrt(a+1)) lies in [j, j+1), so again lo_j <= s < lo_{j+1}.
+    So on either side tau(a, s) = 0 iff s <= hi_j for the one j with
+    lo_j <= s < lo_{j+1}: iff s lies in one of that side's windows, as
+    hi_j < lo_{j+1} (zero_windows: A > B).  Windows past the side's last
+    offset, top = b or c - 2, are empty (zero_windows).
+
+    On each side lo_{j+1} - lo_j = (base + sqrt(rad_lo))/den >= 1: on the
+    left n + sqrt(a) >= 2n >= b, on the right m + sqrt(a+1) > 2n + 1 >=
+    c - 1.  Let s be a drop, with s + 1 in [lo_k, lo_{k+1}) and
+    s + 1 <= hi_k.  Were s >= lo_k, window k would hold s too, so
+    s < lo_k <= s + 1, and k >= 1 as lo_0 = 0.  Then den >= 1, so rad_lo
+    is no square (b >= 1 makes a none, c >= 2 makes a + 1 none), lo_k is
+    irrational and s = floor(lo_k); and k <= top, as window k is not
+    empty.  Conversely take s = floor(lo_k), 1 <= k <= top, so s >= 1.
+    As lo_k - 1 >= lo_{k-1}, s lies in [lo_{k-1}, lo_k), and s + 1 in
+    [lo_k, lo_{k+1}), so s is a drop iff floor(hi_{k-1}) < s < floor(hi_k).
+    The second test matters, as a window can be nonempty and hold no
+    integer: the left window 1 at a = 2 is [1 + sqrt(2), 1 + sqrt(3)].
+    Each floor is (p + isqrt(q^2*r))//d, as in sigma_k, and hi_k carries
+    over to the next k, so a window costs two isqrt calls.
+
+    floor(lo_k) >= k strictly increases in k, so the read stops at the
+    first floor past s_max, after at most min(top, s_max) windows.  It
+    reads the side with fewer windows, the left iff b <= c - 2, that is
+    b < n (as b + c = 2n + 1), so top = min(b, c - 2) <= n - 1, and at
+    b = 0 or c = 1 there is no drop.  More than CLOSURE_MAX_STEPS windows,
+    counted as min(top, s_max), are refused before any isqrt on k.  As
+    n - 1 < _last_fall(a, 1) = 2n - 1 + [b >= n], the count is never above
+    the min(s_max, _last_fall(a, 1)) values of s that a tau scan
+    (_tau_decrements, the test oracle) visits.
+    """
     if a < 1:
         raise ValueError("a must be >= 1")
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
-    steps = min(s_max, _last_fall(a, 1))
-    if steps > CLOSURE_MAX_STEPS:
-        raise ValueError(
-            f"closure would scan {steps} values of s, over the cap of {CLOSURE_MAX_STEPS}")
-    return [s for s, k in _tau_decrements(a, s_max, 1) if k == 1]
+    n = isqrt(a)
+    b = a - n * n
+    if b < n:  # b <= c - 2: the left side has fewer windows
+        return list(_side_drops(s_max, b, n, a, b, a + 1))
+    return list(_side_drops(s_max, 2 * n - 1 - b, n + 1, a + 1, 2 * n - b, a))
+
+
+def _side_drops(s_max: int, top: int, base: int, rad_lo: int, den: int, rad_hi: int):
+    """Yield the drops s <= s_max off one side's windows k = 1..top, the
+    side given as sigmacore._side_windows takes it (upward_closure_check)."""
+    windows = min(top, s_max)
+    if windows > CLOSURE_MAX_STEPS:
+        raise ValueError(f"closure would read {windows} windows, over the cap of {CLOSURE_MAX_STEPS}")
+    hi = (base + isqrt(rad_hi)) // (den + 1)
+    for k in range(1, top + 1):
+        lo = (k * base + isqrt(k * k * rad_lo)) // den
+        if lo > s_max:
+            return
+        prev, hi = hi, ((k + 1) * base + isqrt((k + 1) * (k + 1) * rad_hi)) // (den + 1)
+        if prev < lo < hi:
+            yield lo

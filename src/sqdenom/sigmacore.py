@@ -142,7 +142,7 @@ def t_set(a: int, s: int) -> list[int]:
     lo = isqrt(s * s * a) + 1
     end = isqrt(s * s * (a + 1) - 1) + 1
     if end - lo > TSET_MAX_WITNESSES:
-        raise ValueError(f"tset would print {end - lo} witnesses, over the cap of {TSET_MAX_WITNESSES}")
+        raise ValueError(f"t_set would return {end - lo} witnesses, over the cap of {TSET_MAX_WITNESSES}")
     return list(range(lo, end))
 
 

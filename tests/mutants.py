@@ -64,9 +64,19 @@ MUTANTS = (
            "return k * sigma_upper(a) - 2", "return k * sigma_upper(a) - 1",
            _CLOSURE_TESTS, "killed"),
     Mutant("closure-cap-ge", "analysis.py",
-           "if steps > CLOSURE_MAX_STEPS:", "if steps >= CLOSURE_MAX_STEPS:",
+           "if windows > CLOSURE_MAX_STEPS:", "if windows >= CLOSURE_MAX_STEPS:",
            ("tests/test_analysis.py::test_upward_closure_check_refuses_a_scan_over_the_cap",),
            "killed"),
+    Mutant("closure-no-hi-test", "analysis.py",
+           "if prev < lo < hi:", "if prev < lo:",
+           ("tests/test_analysis.py::test_either_side_of_the_windows_gives_the_scan_drops",),
+           "killed"),
+    Mutant("closure-stop-ge", "analysis.py",
+           "if lo > s_max:", "if lo >= s_max:",
+           ("tests/test_cli.py::test_analyze_closure",), "killed"),
+    Mutant("closure-always-left", "analysis.py",
+           "if b < n:  # b <= c - 2", "if True:  # b <= c - 2",
+           ("tests/test_analysis.py::test_upward_closure_check_reads_no_tau",), "killed"),
     Mutant("left-K-b-plus-1", "sigmacore.py",
            '"left-crowding", min(b, k_max)', '"left-crowding", min(b + 1, k_max)',
            _WINDOW_TESTS, "killed"),

@@ -482,6 +482,78 @@ def test_upward_closure_check():
         upward_closure_check(5, 0)
 
 
+def _side_args(a):
+    """(top, base, rad_lo, den, rad_hi) of a's left and right windows, the
+    arguments sigmacore._side_windows takes."""
+    n = isqrt(a)
+    b = a - n * n
+    c = 2 * n + 1 - b
+    return (b, n, a, b, a + 1), (c - 2, n + 1, a + 1, c - 1, a)
+
+
+def _scan_drops(a, s_max):
+    return [s for s, k in analysis._tau_decrements(a, s_max, 1) if k == 1]
+
+
+def test_either_side_of_the_windows_gives_the_scan_drops(monkeypatch):
+    # every a <= 3000, read off the left side, the right side and the side
+    # upward_closure_check chooses, against the tau scan computed first
+    cases = [(a, s_max) for a in range(1, 3001)
+             for s_max in (3 * analysis._last_fall(a, 1) + 5, *range(1, 11))]
+    want = [_scan_drops(a, s_max) for a, s_max in cases]
+    monkeypatch.setattr(analysis, "tau", lambda a, s: pytest.fail("tau called"))
+    monkeypatch.setattr(analysis, "_tau_decrements", lambda *args: pytest.fail("scanned"))
+    for (a, s_max), drops in zip(cases, want):
+        left, right = _side_args(a)
+        assert list(analysis._side_drops(s_max, *left)) == drops, (a, s_max, "left")
+        assert list(analysis._side_drops(s_max, *right)) == drops, (a, s_max, "right")
+        assert upward_closure_check(a, s_max) == drops, (a, s_max)
+
+
+def test_window_drops_skip_a_window_with_no_integer():
+    # a = 2: left window 1 is [1 + sqrt(2), 1 + sqrt(3)], about [2.41, 2.73];
+    # floor(lo_1) = 2 sits above window 0's floor(hi_0) = 1, yet s + 1 = 3
+    # lies past the window, so tau(2, 3) = 1 and 2 is no drop
+    left, right = _side_args(2)
+    assert left == (1, 1, 2, 1, 3) and right[0] == 0
+    assert list(analysis._side_drops(100, *left)) == [] == upward_closure_check(2, 100)
+    assert (tau(2, 1), tau(2, 2), tau(2, 3)) == (0, 1, 1)
+    # n^2 (b = 0) and n^2 - 1 (c = 1) keep window 0 alone: no drop at any s
+    for n in (2, 3, 10, 10**6, 10**150):
+        for a in (n * n, n * n - 1):
+            assert upward_closure_check(a, 10**400) == [], a
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(0, 149).flatmap(lambda e: st.integers(10**e, 10**(e + 1))),
+       offset=st.sampled_from(["0", "1", "7", "n - 1", "n", "2n - 1", "2n", "any"]),
+       any_b=st.integers(0, 2 * 10**150), s_max=st.integers(1, 2999))
+@example(n=10**6, offset="n - 1", any_b=0, s_max=2999)
+def test_window_drops_match_the_scan_at_every_scale(n, offset, any_b, s_max):
+    b = {"0": 0, "1": 1, "7": 7, "n - 1": n - 1, "n": n, "2n - 1": 2 * n - 1, "2n": 2 * n,
+         "any": any_b % (2 * n + 1)}[offset]
+    a = n * n + b
+    assert upward_closure_check(a, s_max) == _scan_drops(a, s_max)
+    # the windows counted against the cap are never more than the s a scan visits
+    top = min(side[0] for side in _side_args(a))
+    assert min(top, s_max) <= min(s_max, analysis._last_fall(a, 1))
+
+
+def test_upward_closure_check_reads_no_tau(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "tau", lambda a, s: pytest.fail("tau called"))
+        m.setattr(analysis, "_tau_decrements", lambda *args: pytest.fail("scanned"))
+        # a = 10^24 + 7 has b = 7: seven windows answer, where a scan would
+        # take 2*10^12 steps
+        big = upward_closure_check(10**24 + 7, 10**13)
+        # (10^12 + 1)^2 - 2 has c = 2: its right side has window 0 alone
+        assert upward_closure_check((10**12 + 1) ** 2 - 2, 10**13) == []
+        assert upward_closure_check(5, 10**12) == upward_closure_check(5, 100) == []
+    assert big[:3] == [285714285714, 571428571428, 857142857142]
+    for s in big:
+        assert (tau(10**24 + 7, s), tau(10**24 + 7, s + 1)) == (1, 0), s
+
+
 def test_tau_decrements_stay_below_the_bound():
     # tau(a, s+1) counts the integers in an open interval of length
     # (s+1)*(sqrt(a+1) - sqrt(a)), so a drop from k at s needs
@@ -532,9 +604,9 @@ def test_decrement_scans_cost_the_bound_not_s_max(monkeypatch):
         return count(a, s)
 
     monkeypatch.setattr(analysis, "tau", counted)
+    # upward_closure_check reads the windows and asks tau nothing
     assert upward_closure_check(5, 10**12) == upward_closure_check(5, 100)
-    assert scanned == {5: sigma_upper(5) - 1}
-    scanned.clear()
+    assert scanned == {}
     assert conjecture1_search(30, 4, 10**12) == conjecture1_search(30, 4, 10**4)
     assert all(s <= 4 * sigma_upper(a) - 1 for a, s in scanned.items())
     # a = 26 = 5^2 + 1 has no witness at all, so its scan runs to the bound
@@ -555,21 +627,26 @@ def test_last_fall_is_the_last_s_the_decrement_scan_visits(monkeypatch):
 
 def test_upward_closure_check_refuses_a_scan_over_the_cap(monkeypatch):
     assert analysis.CLOSURE_MAX_STEPS == 10**7  # the documented cap
-    # min(s_max, _last_fall(a, 1)) is counted before any tau call
+    # min(top, s_max) windows are counted before any is read: 10^21 + 7 has
+    # b = 43246886806 and c = 19998666397, so the right side's c - 2
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "isqrt", lambda x: pytest.fail("read"))
+        with pytest.raises(ValueError, match=r"^closure would read 19998666395 windows, "
+                                             r"over the cap of 10000000$"):
+            list(analysis._side_drops(10**12, *_side_args(10**21 + 7)[1]))
     monkeypatch.setattr(analysis, "tau", lambda a, s: pytest.fail("scanned"))
-    with pytest.raises(ValueError, match=r"^closure would scan 63245553202 values of s, "
+    with pytest.raises(ValueError, match=r"^closure would read 19998666395 windows, "
                                          r"over the cap of 10000000$"):
         upward_closure_check(10**21 + 7, 10**12)
-    # at a lowered cap a scan of the cap runs and one step more is refused:
-    # a = 12 and 19 can fall from 1 up to s = 6 and 7 (_last_fall)
-    monkeypatch.setattr(analysis, "CLOSURE_MAX_STEPS", 6)
-    for s_max in (7, 10**12):
-        with pytest.raises(ValueError, match=r"^closure would scan 7 values of s, "
-                                             r"over the cap of 6$"):
-            upward_closure_check(19, s_max)
-    monkeypatch.setattr(analysis, "tau", tau)
-    assert upward_closure_check(12, 10**12) == [2]
-    assert upward_closure_check(19, 6) == [5]
+    # at a lowered cap a read of the cap runs and one window more is refused:
+    # a = 19 = 4^2 + 3 reads left windows 1..3, a = 29 = 5^2 + 4 windows 1..4
+    monkeypatch.setattr(analysis, "CLOSURE_MAX_STEPS", 3)
+    for s_max in (4, 10**12):
+        with pytest.raises(ValueError, match=r"^closure would read 4 windows, "
+                                             r"over the cap of 3$"):
+            upward_closure_check(29, s_max)
+    assert upward_closure_check(29, 3) == []
+    assert upward_closure_check(19, 10**12) == [5]
 
 
 def test_conjecture1_search_refuses_a_table_over_the_cap(monkeypatch):

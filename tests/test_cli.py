@@ -114,7 +114,7 @@ def test_tset_refuses_more_witnesses_than_the_cap(capsys):
     for s in (10**12, cap + 2):
         code, out, err = run(capsys, "tset", "0", str(s))
         assert (code, out) == (2, "")
-        assert err == f"error: tset would print {s - 1} witnesses, over the cap of {cap}\n"
+        assert err == f"error: t_set would return {s - 1} witnesses, over the cap of {cap}\n"
 
 
 def test_point_queries(capsys):
@@ -305,10 +305,16 @@ def test_analyze_closure(capsys):
 
 
 def test_analyze_closure_refuses_a_scan_over_the_cap(capsys, monkeypatch):
-    # --a 10**21+7 once scanned for hours: 63245553202 values of s, counted first
+    # --a 10**21+7 once scanned for hours; its smaller side, the right, has
+    # c - 2 = 19998666395 windows, counted before any is read
     monkeypatch.setattr(analysis, "tau", lambda a, s: pytest.fail("scanned"))
     assert run(capsys, "analyze", "closure", "--a", str(10**21 + 7), "--s-max", str(10**12)) == (
-        2, "", "error: closure would scan 63245553202 values of s, over the cap of 10000000\n")
+        2, "", "error: closure would read 19998666395 windows, over the cap of 10000000\n")
+    # 10^24 + 7 has b = 7, so seven left windows answer it
+    code, out, err = run(capsys, "analyze", "closure", "--a", str(10**24 + 7), "--s-max", str(10**13))
+    rep = json.loads(out)
+    assert (code, err, rep["verdict"]) == (0, "", "fail")
+    assert rep["violations"][:3] == [285714285714, 571428571428, 857142857142]
 
 
 def test_analyze_kset(capsys):

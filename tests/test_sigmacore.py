@@ -118,7 +118,7 @@ def test_t_set_refuses_more_witnesses_than_the_cap():
     ts = t_set(0, cap + 1)
     assert (len(ts), ts[0], ts[-1]) == (cap, 1, cap)
     for s in (cap + 2, cap + 3):
-        with pytest.raises(ValueError, match=rf"^tset would print {s - 1} witnesses, "
+        with pytest.raises(ValueError, match=rf"^t_set would return {s - 1} witnesses, "
                                              rf"over the cap of {cap}$"):
             t_set(0, s)
 
