@@ -16,7 +16,9 @@ from .exactmath import is_perfect_square, isqrt
 from .sigmacore import (
     ConsistencyError,
     _certified_pair_in_frame,
+    _frame,
     _pair_curve_index,
+    _sides,
     _top_floor,
     certified_first_pair,
     sigma_upper,
@@ -314,10 +316,8 @@ def upward_closure_check(a: int, s_max: int) -> list[int]:
     (sigmacore.zero_windows) in integers, with no tau call.
 
     Either side's windows alone hold tau's zero set.  Take a side as
-    (base, rad_lo, den, rad_hi) = (n, a, b, a + 1) on the left or
-    (m, a + 1, c - 1, a) on the right, so that window j is [lo_j, hi_j]
-    with lo_j = j*(base + sqrt(rad_lo))/den and
-    hi_j = (j+1)*(base + sqrt(rad_hi))/(den+1).  On the left, for s >= 1
+    sigmacore._sides gives it, (top, base, rad_lo, den, rad_hi), and write
+    its window j, as stated there, as [lo_j, hi_j].  On the left, for s >= 1
     write floor(s*sqrt(a)) = s*n + j, j >= 0 (at b = 0, s*sqrt(a) = s*n
     and j = 0).  The least integer above s*sqrt(a) is s*n + j + 1, so
     tau(a, s) = 0 iff s*n + j + 1 >= s*sqrt(a+1), that is
@@ -350,28 +350,25 @@ def upward_closure_check(a: int, s_max: int) -> list[int]:
 
     floor(lo_k) >= k strictly increases in k, so the read stops at the
     first floor past s_max, after at most min(top, s_max) windows.  It
-    reads the side with fewer windows, the left iff b <= c - 2, that is
-    b < n (as b + c = 2n + 1), so top = min(b, c - 2) <= n - 1, and at
-    b = 0 or c = 1 there is no drop.  More than CLOSURE_MAX_STEPS windows,
-    counted as min(top, s_max), are refused before any isqrt on k.  As
-    n - 1 < _last_fall(a, 1) = 2n - 1 + [b >= n], the count is never above
-    the min(s_max, _last_fall(a, 1)) values of s that a tau scan
+    reads the side with fewer windows, the smaller of the two tuples, as
+    their tops b and c - 2 never tie (_sides): the left iff b < n, so
+    top = min(b, c - 2) <= n - 1, and at b = 0 or c = 1 there is no drop.
+    More than CLOSURE_MAX_STEPS windows, counted as min(top, s_max), are
+    refused before any isqrt on k.  As n - 1 < _last_fall(a, 1) =
+    2n - 1 + [b >= n], the count is never above the
+    min(s_max, _last_fall(a, 1)) values of s that a tau scan
     (_tau_decrements, the test oracle) visits.
     """
     if a < 1:
         raise ValueError("a must be >= 1")
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
-    n = isqrt(a)
-    b = a - n * n
-    if b < n:  # b <= c - 2: the left side has fewer windows
-        return list(_side_drops(s_max, b, n, a, b, a + 1))
-    return list(_side_drops(s_max, 2 * n - 1 - b, n + 1, a + 1, 2 * n - b, a))
+    return list(_side_drops(s_max, *min(_sides(a, *_frame(a)))))
 
 
 def _side_drops(s_max: int, top: int, base: int, rad_lo: int, den: int, rad_hi: int):
     """Yield the drops s <= s_max off one side's windows k = 1..top, the
-    side given as sigmacore._side_windows takes it (upward_closure_check)."""
+    side given as sigmacore._sides gives it (upward_closure_check)."""
     windows = min(top, s_max)
     if windows > CLOSURE_MAX_STEPS:
         raise ValueError(f"closure would read {windows} windows, over the cap of {CLOSURE_MAX_STEPS}")

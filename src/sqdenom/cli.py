@@ -119,12 +119,6 @@ def _report_symmetry(args) -> dict:
     agg = rep["aggregate"]
     verdict = "pass" if Fraction(1, 2) <= agg <= Fraction(7, 10) else "indeterminate"
     return {
-        "params": {
-            "n_min": args.n_min,
-            "n_max": args.n_max,
-            "d_max": args.d_max,
-            "full_range": args.full_range,
-        },
         "aggregate": {"exact": f"{agg.numerator}/{agg.denominator}", "approx": f"{float(agg):.6f}"},
         "matches": rep["matches"],
         "comparisons": rep["comparisons"],
@@ -147,7 +141,6 @@ def _report_kset(args) -> dict:
         },
     ]
     return {
-        "params": {"n": args.n},
         "minimal": ks,
         "existential": ks,
         "findings": findings,
@@ -171,7 +164,6 @@ def _report_offbound(args) -> dict:
             minima.append({"n": n, "points": pts, "verdict": "pass" if ok else "indeterminate"})
     all_pass = all(e["verdict"] == "pass" for e in peaks + minima)
     return {
-        "params": {"n_from": args.n_from, "n_to": args.n_to},
         "peaks": peaks,
         "minima": minima,
         "verdict": "pass" if all_pass else "indeterminate",
@@ -191,7 +183,6 @@ def _report_conjecture1(args) -> dict:
             else:
                 findings.append({"a": a, "k": k, "s": s, "verdict": "pass"})
     return {
-        "params": {"a_max": args.a_max, "k_max": args.k_max, "s_max": args.s_max},
         "findings": findings,
         "indeterminate_count": indeterminate,
         "verdict": "pass" if indeterminate == 0 else "indeterminate",
@@ -209,16 +200,19 @@ def _report_closure(args) -> dict:
     else:
         verdict = "indeterminate"
     return {
-        "params": {"a": args.a, "s_max": args.s_max},
         "violations": violations,
         "verdict": verdict,
     }
 
 
 def cmd_analyze(args) -> int:
+    """Write the report's JSON; its "params" are the subcommand's own
+    options, read off the parsed arguments."""
     import json
 
-    report = {"report": args.subreport, **args.build(args)}
+    params = {name: value for name, value in vars(args).items()
+              if name not in ("command", "subreport", "out", "func", "build")}
+    report = {"report": args.subreport, "params": params, **args.build(args)}
     with _output(args.out) as fh:
         fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0

@@ -59,10 +59,9 @@ class ConsistencyError(RuntimeError):
 
 class Decomposition(NamedTuple):
     """a = n^2 + b = m^2 - c.  A tuple, not a frozen dataclass, as a tuple
-    costs under half as much to make.  sigma_k, min_k, on_bound_criterion
-    and zero_windows build none: each works out its frame inline from one
-    isqrt, min_k once per walk.  No library function calls decompose any
-    more; it stays public as the frame's reference form."""
+    costs under half as much to make.  No library function builds one or
+    calls decompose: each takes (n, b, c) from _frame, one isqrt, min_k
+    once per walk.  decompose stays public as the frame's reference form."""
 
     a: int
     n: int
@@ -76,13 +75,19 @@ def decompose(a: int) -> Decomposition:
 
     a = 0 degenerates gracefully to n = b = 0, m = c = 1.
     """
+    n, b, c = _frame(a)
+    return Decomposition(a, n, b, n + 1, c)
+
+
+def _frame(a: int) -> tuple[int, int, int]:
+    """(n, b, c) with a = n^2 + b = (n+1)^2 - c, from one isqrt; as
+    (n+1)^2 - n^2 = 2n + 1, c = 2n + 1 - b.  Every point query frames a
+    here."""
     if a < 0:
         raise ValueError("a must be >= 0")
     n = isqrt(a)
     b = a - n * n
-    m = n + 1
-    c = m * m - a
-    return Decomposition(a, n, b, m, c)
+    return n, b, 2 * n + 1 - b
 
 
 def _check_pair(a: int, s: int) -> None:
@@ -170,13 +175,9 @@ def sigma_k(a: int, k: int) -> int:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if a < 0:
-        raise ValueError("a must be >= 0")
-    # decompose's frame, worked out inline: b + 1 = a - n^2 + 1, c = m^2 - a
-    n = isqrt(a)
-    m = n + 1
+    n, b, c = _frame(a)
     kk = k * k
-    return _top_floor(k, n, isqrt(kk * a), isqrt(kk * (a + 1)), a - n * n + 1, m * m - a) + 1
+    return _top_floor(k, n, isqrt(kk * a), isqrt(kk * (a + 1)), b + 1, c) + 1
 
 
 def sigma_lower(a: int) -> int:
@@ -202,10 +203,7 @@ def sigma_upper(a: int) -> int:
 
 def sigma(a: int) -> int:
     """Least denominator s >= 2 such that some t/s squares into (a, a+1)."""
-    if a < 0:
-        raise ValueError("a must be >= 0")
-    n = isqrt(a)
-    b = a - n * n
+    n, b, _ = _frame(a)
     return _first_pair_in_frame(a, a + 1, n, b, b + 1)[1]
 
 
@@ -222,10 +220,8 @@ def certified_first_pair(a: int) -> tuple[int, int]:
     so t'/s = t/s.  sigma(a) is left uncertified, as it is the hot path of
     point queries.
     """
-    if a < 0:
-        raise ValueError("a must be >= 0")
-    n = isqrt(a)
-    return _certified_pair_in_frame(a, n, a - n * n + 1)
+    n, b, _ = _frame(a)
+    return _certified_pair_in_frame(a, n, b + 1)
 
 
 def _certified_pair_in_frame(a: int, n: int, b1: int) -> tuple[int, int]:
@@ -251,10 +247,8 @@ def on_bound_criterion(a: int) -> bool:
     """
     if a < 2:
         raise ValueError("a must be >= 2")
-    n = isqrt(a)
-    b = a - n * n
+    n, b, c = _frame(a)
     m = n + 1
-    c = m * m - a
     r1 = m if c == 1 else n  # isqrt(a + 1)
     left = b == 0 or (n + r1) // (b + 1) < 2 * n // b
     right = c == 1 or (m + n) // c < (m + r1) // (c - 1)
@@ -265,9 +259,9 @@ def min_k(a: int) -> int:
     """The one k >= 1 with sigma_k(a) = sigma(a).
 
     sigma_k strictly increases in k (see sigma_k), so the first match is the
-    only one, and sigma_k >= k+1 bounds the walk by sigma(a).  One isqrt
-    works out a's frame (n, a + 1, b + 1, c); the kernel takes sigma(a) from
-    it, and the walk takes sigma_k's two floors per step through _top_floor,
+    only one, and sigma_k >= k+1 bounds the walk by sigma(a).  _frame gives
+    a's (n, b, c) from one isqrt; the kernel takes sigma(a) in that frame,
+    and the walk takes sigma_k's two floors per step through _top_floor,
     two isqrt calls.
 
     The walk is O(k) where a sweep row reads k off its certified pair
@@ -278,13 +272,10 @@ def min_k(a: int) -> int:
     O(k) scan of its own, which would never finish on the k of about
     4*10^24 that the closed form returns at a near 10^50.
     """
-    if a < 0:
-        raise ValueError("a must be >= 0")
-    n = isqrt(a)
+    n, b, c = _frame(a)
     a1 = a + 1
-    b1 = a1 - n * n
-    c = (n + 1) ** 2 - a
-    sig = _first_pair_in_frame(a, a1, n, b1 - 1, b1)[1]
+    b1 = b + 1
+    sig = _first_pair_in_frame(a, a1, n, b, b1)[1]
     j = sig - 1  # sigma_k(a) = sig iff the larger floor is sig - 1
     for k in range(1, sig + 1):
         kk = k * k
@@ -338,18 +329,20 @@ class ZeroWindow(NamedTuple):
 def zero_windows(a: int, k_max: int) -> list[ZeroWindow]:
     """All crowding windows with offset k <= k_max, empty ones dropped.
 
-    Left crowding at offset k pins floor(s*sqrt(a)) to s*n + k and forces
-    tau(a, s) = 0 for k*(n+sqrt(a))/b <= s <= (k+1)*(n+sqrt(a+1))/(b+1);
-    right crowding mirrors it with m and c.  At k = 0 the lower constraint
-    is vacuous (endpoint 0), so that window is never empty.  At k >= 1 a
-    zero lower denominator (b = 0 or c = 1) leaves no s, so that side has
-    no window.  Windows come left before right for each k.
+    Left crowding at offset k pins floor(s*sqrt(a)) to s*n + k, right
+    crowding pins ceil(s*sqrt(a+1)) to s*m - k, and each forces
+    tau(a, s) = 0 on that side's window k, as _sides states it.  At k = 0
+    the lower constraint is vacuous (endpoint 0), so that window is never
+    empty.  At k >= 1 a zero lower denominator (b = 0 or c = 1) leaves no
+    s, so that side has no window.  Windows come left before right for
+    each k.
 
-    With lo = k*A and hi = (k+1)*B, the width hi - lo = B - k*(A - B)
-    falls strictly with k, because A > B on both sides.  On the left,
-    A = (n+sqrt(a))/b and B = (n+sqrt(a+1))/(b+1); squaring
-    n + (b+1)*sqrt(a) > b*sqrt(a+1) leaves n^2 + 2n(b+1)*sqrt(a) +
-    (2b+1)*a > b^2, which holds as (2b+1)*a >= b^2.  On the right,
+    With window k = [lo, hi] = [k*A, (k+1)*B], the width
+    hi - lo = B - k*(A - B) falls strictly with k, because A > B on both
+    sides.  On the left, A = (n+sqrt(a))/b and B = (n+sqrt(a+1))/(b+1);
+    squaring n + (b+1)*sqrt(a) > b*sqrt(a+1) leaves n^2 +
+    2n(b+1)*sqrt(a) + (2b+1)*a > b^2, which holds as (2b+1)*a >= b^2.
+    On the right,
     A = (m+sqrt(a+1))/(c-1) has the larger numerator and the smaller
     denominator of B = (m+sqrt(a))/c.  So a side's nonempty windows are
     exactly k = 0..K.
@@ -370,7 +363,7 @@ def zero_windows(a: int, k_max: int) -> list[ZeroWindow]:
 
     So the list holds min(b, k_max) + 1 left windows and
     max(min(c - 2, k_max), 0) + 1 right windows, and k_max bounds the
-    work.  One isqrt frames a.
+    work.  One isqrt frames a (_frame).
 
     The ends of windows with k >= 1 skip Surd's validating constructor
     (_window_end), because its checks hold by construction: the
@@ -386,17 +379,25 @@ def zero_windows(a: int, k_max: int) -> list[ZeroWindow]:
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    if a < 0:
-        raise ValueError("a must be >= 0")
-    n = isqrt(a)
-    b = a - n * n
-    m = n + 1
-    c = m * m - a
+    l_side, r_side = _sides(a, *_frame(a))
     zero = Surd(0)
-    left = _side_windows("left-crowding", min(b, k_max), zero, n, a, b, a + 1)
-    right = _side_windows("right-crowding", min(c - 2, k_max), zero, m, a + 1, c - 1, a)
+    left = _side_windows("left-crowding", k_max, zero, l_side)
+    right = _side_windows("right-crowding", k_max, zero, r_side)
     # k-major; the sort is stable, so left comes before right at each k
     return sorted(left + right, key=_offset)
+
+
+def _sides(a: int, n: int, b: int, c: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """a's left and right crowding sides in its frame (_frame), each as
+    (top, base, rad_lo, den, rad_hi).  Window k of a side is
+
+        [k*(base + sqrt(rad_lo))/den, (k+1)*(base + sqrt(rad_hi))/(den+1)],
+
+    nonempty exactly for k = 0..top (zero_windows proves the last offsets
+    top = b and c - 2).  As b + c = 2n + 1, b is never c - 2, so the two
+    tuples differ in top and the smaller one is the side with fewer
+    windows."""
+    return (b, n, a, b, a + 1), (c - 2, n + 1, a + 1, c - 1, a)
 
 
 # tuple.__new__(ZeroWindow, fields) is ZeroWindow(*fields) at about half
@@ -417,19 +418,15 @@ def _window_end(p: int, q: int, d: int, r: int) -> Surd:
     return end
 
 
-def _side_windows(
-    side: str, top: int, zero: Surd, base: int, rad_lo: int, den: int, rad_hi: int
-) -> list[ZeroWindow]:
-    """One side's windows k = 0..top for zero_windows, with ends
-    lo = k*(base + sqrt(rad_lo))/den and
-    hi = (k+1)*(base + sqrt(rad_hi))/(den+1); top is the side's last
-    nonempty offset capped at k_max, and the k = 0 window (lo = 0 < hi)
-    is never empty."""
+def _side_windows(side: str, k_max: int, zero: Surd, params: tuple[int, ...]) -> list[ZeroWindow]:
+    """One side's windows k = 0..min(top, k_max) for zero_windows, params
+    as _sides gives them; the k = 0 window (lo = 0 < hi) is never empty."""
+    top, base, rad_lo, den, rad_hi = params
     den1 = den + 1
     windows = [_new(ZeroWindow, (0, zero, Surd(base, 1, rad_hi, den1), side))]
     windows += [
         _new(ZeroWindow, (k, _window_end(k * base, k, rad_lo, den),
                           _window_end((k + 1) * base, k + 1, rad_hi, den1), side))
-        for k in range(1, top + 1)
+        for k in range(1, min(top, k_max) + 1)
     ]
     return windows

@@ -75,19 +75,25 @@ MUTANTS = (
            "if lo > s_max:", "if lo >= s_max:",
            ("tests/test_cli.py::test_analyze_closure",), "killed"),
     Mutant("closure-always-left", "analysis.py",
-           "if b < n:  # b <= c - 2", "if True:  # b <= c - 2",
+           "*min(_sides(a, *_frame(a)))", "*_sides(a, *_frame(a))[0]",
            ("tests/test_analysis.py::test_upward_closure_check_reads_no_tau",), "killed"),
+    Mutant("closure-larger-side", "analysis.py",
+           "min(_sides(", "max(_sides(",
+           ("tests/test_analysis.py::test_upward_closure_check_reads_no_tau",), "killed"),
+    Mutant("frame-c-plus-1", "sigmacore.py",
+           "2 * n + 1 - b", "2 * n + 2 - b",
+           _WINDOW_TESTS, "killed"),
     Mutant("left-K-b-plus-1", "sigmacore.py",
-           '"left-crowding", min(b, k_max)', '"left-crowding", min(b + 1, k_max)',
+           "return (b, n, a, b, a + 1)", "return (b + 1, n, a, b, a + 1)",
            _WINDOW_TESTS, "killed"),
     Mutant("left-K-b-minus-1", "sigmacore.py",
-           '"left-crowding", min(b, k_max)', '"left-crowding", min(b - 1, k_max)',
+           "return (b, n, a, b, a + 1)", "return (b - 1, n, a, b, a + 1)",
            _WINDOW_TESTS, "killed"),
     Mutant("right-K-c-minus-3", "sigmacore.py",
-           '"right-crowding", min(c - 2, k_max)', '"right-crowding", min(c - 3, k_max)',
+           ", (c - 2, n + 1, a + 1, c - 1, a)", ", (c - 3, n + 1, a + 1, c - 1, a)",
            _WINDOW_TESTS, "killed"),
     Mutant("right-K-c-minus-1", "sigmacore.py",
-           '"right-crowding", min(c - 2, k_max)', '"right-crowding", min(c - 1, k_max)',
+           ", (c - 2, n + 1, a + 1, c - 1, a)", ", (c - 1, n + 1, a + 1, c - 1, a)",
            _WINDOW_TESTS, "killed"),
     Mutant("windows-unsorted", "sigmacore.py",
            "return sorted(left + right, key=_offset)", "return left + right",

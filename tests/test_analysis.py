@@ -483,8 +483,8 @@ def test_upward_closure_check():
 
 
 def _side_args(a):
-    """(top, base, rad_lo, den, rad_hi) of a's left and right windows, the
-    arguments sigmacore._side_windows takes."""
+    """(top, base, rad_lo, den, rad_hi) of a's left and right windows,
+    restated independently of sigmacore._sides."""
     n = isqrt(a)
     b = a - n * n
     c = 2 * n + 1 - b
@@ -503,6 +503,12 @@ def test_either_side_of_the_windows_gives_the_scan_drops(monkeypatch):
     want = [_scan_drops(a, s_max) for a, s_max in cases]
     monkeypatch.setattr(analysis, "tau", lambda a, s: pytest.fail("tau called"))
     monkeypatch.setattr(analysis, "_tau_decrements", lambda *args: pytest.fail("scanned"))
+    for a in range(1, 3001):
+        # the library's sides equal the restatement, and the smaller tuple
+        # is the side with the smaller top
+        sides = _side_args(a)
+        assert sigmacore._sides(a, *sigmacore._frame(a)) == sides, a
+        assert min(sides)[0] == min(side[0] for side in sides), a
     for (a, s_max), drops in zip(cases, want):
         left, right = _side_args(a)
         assert list(analysis._side_drops(s_max, *left)) == drops, (a, s_max, "left")

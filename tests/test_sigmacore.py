@@ -214,7 +214,7 @@ def test_sigma_k_floor_matches_surd_floor():
 
 
 def test_min_k_builds_no_decomposition(monkeypatch):
-    # sigma_k and min_k each work out the frame inline
+    # sigma_k and min_k each take the frame from _frame
     def refuse(a):
         raise AssertionError("decompose called")
 
