@@ -4,7 +4,8 @@ Observation-style checks (near-symmetry of sigma around trough centers,
 witness search for a conjectured decrement pattern in the counts,
 upward-closure probes, off-bound structure) report findings; they never
 decide correctness by themselves.  Hard guarantees live in the core
-modules and their tests.
+modules and their tests.  The `sqdenom analyze` reports, each finding
+with its verdict, are built here too (REPORTS).
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ if TYPE_CHECKING:
 # k_max = 10^12 ran out of memory at once, so the count comes first.
 CONJECTURE1_MAX_FINDINGS = 10**6
 
+# offbound_minima and the offbound report read sigma = 5 minima from n = 7 on.
+_MINIMA_FROM_N = 7
+
 # The most sigma pairs a symmetry_report compares.  --full-range gives
 # trough n about n^2 of them, so --n-max 10^6 would run for hours; the
 # count comes before any sigma is computed.
@@ -42,10 +46,13 @@ SYMMETRY_MAX_COMPARISONS = 10**6
 # each: min(b, c - 2, s_max) of them, with a = n^2 + b = (n+1)^2 - c, so
 # a = 10^21 + 7 at s_max 10^12 would take 19,998,666,395 windows, while
 # 10^12 + 7 and 10^24 + 7 take 7 each.  The count comes before any window
-# is read.  Reading 10^7 windows (a = 10^16 + 10^7, 9,523,809 drops,
-# counted without a list) took 10.9 s on a 2-vCPU x86-64 VM with Python
-# 3.11; at a near 10^300 a window costs about 4.6 us, so some 46 s there.
-CLOSURE_MAX_STEPS = 10**7
+# is read.  The answer holds at most one drop a window, so the cap bounds
+# it too.  At the cap's 999,999 windows, with s_max past every drop,
+# `sqdenom analyze closure` took 1.5 s, 94 MB peak RSS and 8.1 MB of JSON
+# at a = 10^12 + 10^6, and at worst 6.5 s, 471 MB and 156 MB at
+# a = 10^300 + 10^6 - 1, whose drops have some 150 digits each (2-vCPU
+# x86-64 VM, Python 3.11).
+CLOSURE_MAX_STEPS = 10**6
 
 __all__ = [
     "SweepRecord",
@@ -230,8 +237,8 @@ def offbound_peaks(n_from: int, n_to: int) -> list[tuple[int, int, int]]:
 
 def offbound_minima(n: int) -> list[int]:
     """Off-bound a strictly between n^2 and (n+1)^2 with sigma(a) = 5."""
-    if n < 7:
-        raise ValueError("n must be >= 7")
+    if n < _MINIMA_FROM_N:
+        raise ValueError(f"n must be >= {_MINIMA_FROM_N}")
     return _offbound_by_interval(n, n)[0][2]
 
 
@@ -380,3 +387,84 @@ def _side_drops(s_max: int, top: int, base: int, rad_lo: int, den: int, rad_hi: 
         prev, hi = hi, ((k + 1) * base + isqrt((k + 1) * (k + 1) * rad_hi)) // (den + 1)
         if prev < lo < hi:
             yield lo
+
+
+def _verdict(ok: bool) -> str:
+    return "pass" if ok else "indeterminate"
+
+
+def _report_symmetry(*, n_min: int, n_max: int, d_max: int | None, full_range: bool) -> dict:
+    """Pass when the aggregate match share lies in [1/2, 7/10]."""
+    from fractions import Fraction
+
+    rep = symmetry_report(n_min=n_min, n_max=n_max, d_max=d_max, full_range=full_range)
+    agg = rep["aggregate"]
+    return {
+        "aggregate": {"exact": f"{agg.numerator}/{agg.denominator}", "approx": f"{float(agg):.6f}"},
+        "matches": rep["matches"],
+        "comparisons": rep["comparisons"],
+        "per_n": rep["per_n"],
+        "verdict": _verdict(Fraction(1, 2) <= agg <= Fraction(7, 10)),
+    }
+
+
+def _report_kset(*, n: int) -> dict:
+    """Pass when the curve index 1 is realized."""
+    ks = sorted(k_set(n))
+    findings = [
+        # sigma_k strictly increases in k, so each a has exactly one matching
+        # index: the least-index and every-index sets are the same set.
+        {"check": "minimal subset of existential", "verdict": "pass"},
+        {"check": "contains 1", "verdict": _verdict(1 in ks)},
+    ]
+    return {"minimal": ks, "existential": ks, "findings": findings,
+            "verdict": _verdict(all(f["verdict"] == "pass" for f in findings))}
+
+
+def _report_offbound(*, n_from: int, n_to: int) -> dict:
+    """A peak passes at its interval's center n^2 + n - 1, and the sigma = 5
+    minima pass as two points that straddle it."""
+    peaks = []
+    minima = []
+    for n, peak, pts in _offbound_by_interval(n_from, n_to):
+        center = n * n + n - 1
+        if peak:
+            at_center = peak[0] == center
+            peaks.append({"n": n, "a_peak": peak[0], "sigma_peak": peak[1], "at_center": at_center,
+                          "verdict": _verdict(at_center)})
+        if n >= _MINIMA_FROM_N:
+            ok = len(pts) == 2 and pts[0] < center < pts[1]
+            minima.append({"n": n, "points": pts, "verdict": _verdict(ok)})
+    return {"peaks": peaks, "minima": minima,
+            "verdict": _verdict(all(e["verdict"] == "pass" for e in peaks + minima))}
+
+
+def _report_conjecture1(*, a_max: int, k_max: int, s_max: int) -> dict:
+    """Each (a, k) passes with its witness s, and is indeterminate with none."""
+    findings = []
+    for a, witnesses in conjecture1_search(a_max, k_max, s_max).items():
+        for k, s in enumerate(witnesses, start=1):
+            witness = {} if s is None else {"s": s}
+            findings.append({"a": a, "k": k, **witness, "verdict": _verdict(s is not None)})
+    indeterminate = sum(f["verdict"] != "pass" for f in findings)
+    return {"findings": findings, "indeterminate_count": indeterminate,
+            "verdict": _verdict(indeterminate == 0)}
+
+
+def _report_closure(*, a: int, s_max: int) -> dict:
+    """Fail on any drop, a definite exact finding; with none, pass only when
+    s_max reaches the last s a drop can lie at (_last_fall)."""
+    violations = upward_closure_check(a, s_max)
+    verdict = "fail" if violations else _verdict(s_max >= _last_fall(a, 1))
+    return {"violations": violations, "verdict": verdict}
+
+
+# The `sqdenom analyze` reports by subcommand: each builder takes the
+# subcommand's options as keywords and returns the findings and verdicts.
+REPORTS = {
+    "symmetry": _report_symmetry,
+    "kset": _report_kset,
+    "offbound": _report_offbound,
+    "conjecture1": _report_conjecture1,
+    "closure": _report_closure,
+}

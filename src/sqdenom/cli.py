@@ -5,6 +5,9 @@ failure, 4 an internal consistency check failed (a library defect,
 reported in one stderr line).  All file output is byte-deterministic:
 rerunning a command with the same arguments reproduces identical bytes.
 
+It parses and writes; the library decides: every `analyze` verdict comes
+from the report's builder in analysis.REPORTS.
+
 Each command imports the library code it runs, so a process pays only for
 the command it makes: `sigma` never loads the analysis, figure or SVG
 layers, and `import sqdenom.cli` loads nothing beyond the parser.
@@ -107,112 +110,16 @@ def cmd_figures(args) -> int:
     return 0
 
 
-def _report_symmetry(args) -> dict:
-    from fractions import Fraction
-
-    from .analysis import symmetry_report
-
-    rep = symmetry_report(
-        n_min=args.n_min, n_max=args.n_max,
-        d_max=args.d_max, full_range=args.full_range,
-    )
-    agg = rep["aggregate"]
-    verdict = "pass" if Fraction(1, 2) <= agg <= Fraction(7, 10) else "indeterminate"
-    return {
-        "aggregate": {"exact": f"{agg.numerator}/{agg.denominator}", "approx": f"{float(agg):.6f}"},
-        "matches": rep["matches"],
-        "comparisons": rep["comparisons"],
-        "per_n": rep["per_n"],
-        "verdict": verdict,
-    }
-
-
-def _report_kset(args) -> dict:
-    from .analysis import k_set
-
-    ks = sorted(k_set(args.n))
-    findings = [
-        # sigma_k strictly increases in k, so each a has exactly one matching
-        # index: the least-index and every-index sets are the same set.
-        {"check": "minimal subset of existential", "verdict": "pass"},
-        {
-            "check": "contains 1",
-            "verdict": "pass" if 1 in ks else "indeterminate",
-        },
-    ]
-    return {
-        "minimal": ks,
-        "existential": ks,
-        "findings": findings,
-        "verdict": "pass" if all(f["verdict"] == "pass" for f in findings) else "indeterminate",
-    }
-
-
-def _report_offbound(args) -> dict:
-    from .analysis import _offbound_by_interval
-
-    peaks = []
-    minima = []
-    for n, peak, pts in _offbound_by_interval(args.n_from, args.n_to):
-        center = n * n + n - 1
-        if peak:
-            at_center = peak[0] == center
-            peaks.append({"n": n, "a_peak": peak[0], "sigma_peak": peak[1], "at_center": at_center,
-                          "verdict": "pass" if at_center else "indeterminate"})
-        if n >= 7:
-            ok = len(pts) == 2 and pts[0] < center < pts[1]
-            minima.append({"n": n, "points": pts, "verdict": "pass" if ok else "indeterminate"})
-    all_pass = all(e["verdict"] == "pass" for e in peaks + minima)
-    return {
-        "peaks": peaks,
-        "minima": minima,
-        "verdict": "pass" if all_pass else "indeterminate",
-    }
-
-
-def _report_conjecture1(args) -> dict:
-    from .analysis import conjecture1_search
-
-    findings = []
-    indeterminate = 0
-    for a, witnesses in conjecture1_search(args.a_max, args.k_max, args.s_max).items():
-        for k, s in enumerate(witnesses, start=1):
-            if s is None:
-                indeterminate += 1
-                findings.append({"a": a, "k": k, "verdict": "indeterminate"})
-            else:
-                findings.append({"a": a, "k": k, "s": s, "verdict": "pass"})
-    return {
-        "findings": findings,
-        "indeterminate_count": indeterminate,
-        "verdict": "pass" if indeterminate == 0 else "indeterminate",
-    }
-
-
-def _report_closure(args) -> dict:
-    from .analysis import _last_fall, upward_closure_check
-
-    violations = upward_closure_check(args.a, args.s_max)
-    if violations:
-        verdict = "fail"  # a violation is a definite exact finding
-    elif args.s_max >= _last_fall(args.a, 1):
-        verdict = "pass"
-    else:
-        verdict = "indeterminate"
-    return {
-        "violations": violations,
-        "verdict": verdict,
-    }
-
-
 def cmd_analyze(args) -> int:
-    """Write the report's JSON; its "params" are the subcommand's own
-    options, read off the parsed arguments."""
+    """Write the report's JSON: its "params" are the subcommand's own
+    options, read off the parsed arguments, passed to its builder."""
     import json
 
+    from .analysis import REPORTS
+
     params = {name: value for name, value in vars(args).items()
-              if name not in ("command", "subreport", "out", "func", "build")}
-    report = {"report": args.subreport, "params": params, **args.build(args)}
+              if name not in ("command", "subreport", "out", "func")}
+    report = {"report": args.subreport, "params": params, **REPORTS[args.subreport](**params)}
     with _output(args.out) as fh:
         fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0
@@ -272,6 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_figures)
 
     p = sub.add_parser("analyze", help="observation reports as JSON")
+    p.set_defaults(func=cmd_analyze)
     asub = p.add_subparsers(dest="subreport", required=True)
 
     q = asub.add_parser("symmetry", help="sigma symmetry around trough centers")
@@ -280,31 +188,26 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--d-max", type=int, default=None)
     q.add_argument("--full-range", action="store_true")
     q.add_argument("--out", default=None)
-    q.set_defaults(func=cmd_analyze, build=_report_symmetry)
 
     q = asub.add_parser("kset", help="curve indices realized on one square interval")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--out", default=None)
-    q.set_defaults(func=cmd_analyze, build=_report_kset)
 
     q = asub.add_parser("offbound", help="peaks and sigma=5 minima per interval")
     q.add_argument("--n-from", dest="n_from", type=int, default=4)
     q.add_argument("--n-to", dest="n_to", type=int, default=20)
     q.add_argument("--out", default=None)
-    q.set_defaults(func=cmd_analyze, build=_report_offbound)
 
     q = asub.add_parser("conjecture1", help="tau decrement witness table")
     q.add_argument("--a-max", type=int, default=300)
     q.add_argument("--k-max", type=int, default=4)
     q.add_argument("--s-max", type=int, default=500)
     q.add_argument("--out", default=None)
-    q.set_defaults(func=cmd_analyze, build=_report_conjecture1)
 
     q = asub.add_parser("closure", help="points where tau drops back to zero")
     q.add_argument("--a", type=int, required=True)
     q.add_argument("--s-max", type=int, default=100)
     q.add_argument("--out", default=None)
-    q.set_defaults(func=cmd_analyze, build=_report_closure)
 
     return parser
 

@@ -54,6 +54,7 @@ _WINDOW_TESTS = (
     "tests/test_sigmacore.py::test_zero_windows_match_per_k_scan",
     "tests/test_sigmacore.py::test_zero_windows_match_the_scan_at_every_scale",
 )
+_BAND_TEST = "tests/test_analysis.py::test_symmetry_verdict_band_is_closed_at_both_ends"
 
 MUTANTS = (
     Mutant("t_set-cap-ge", "sigmacore.py",
@@ -98,6 +99,22 @@ MUTANTS = (
     Mutant("windows-unsorted", "sigmacore.py",
            "return sorted(left + right, key=_offset)", "return left + right",
            _WINDOW_TESTS, "killed"),
+    Mutant("closure-verdict-gt", "analysis.py",
+           "s_max >= _last_fall(a, 1)", "s_max > _last_fall(a, 1)",
+           ("tests/test_analysis.py::test_conjecture1_and_closure_verdicts",), "killed"),
+    Mutant("symmetry-band-lo-lt", "analysis.py",
+           "Fraction(1, 2) <= agg", "Fraction(1, 2) < agg",
+           (_BAND_TEST,), "killed"),
+    Mutant("symmetry-band-hi-lt", "analysis.py",
+           "agg <= Fraction(7, 10)", "agg < Fraction(7, 10)",
+           (_BAND_TEST,), "killed"),
+    Mutant("offbound-minima-one-side", "analysis.py",
+           "pts[0] < center < pts[1]", "pts[0] < center",
+           ("tests/test_analysis.py::test_offbound_minima_verdict_needs_two_points_around_the_center",),
+           "killed"),
+    Mutant("kset-contains-1-passes", "analysis.py",
+           '"verdict": _verdict(1 in ks)', '"verdict": "pass"',
+           ("tests/test_analysis.py::test_kset_verdict_needs_curve_index_1",), "killed"),
     Mutant("descend-k-gt-0", "confrac.py",
            "(k >= 0 or hd > k * k)", "(k > 0 or hd > k * k)",
            ("tests/test_confrac.py",), "equivalent",

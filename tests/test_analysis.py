@@ -632,17 +632,17 @@ def test_last_fall_is_the_last_s_the_decrement_scan_visits(monkeypatch):
 
 
 def test_upward_closure_check_refuses_a_scan_over_the_cap(monkeypatch):
-    assert analysis.CLOSURE_MAX_STEPS == 10**7  # the documented cap
+    assert analysis.CLOSURE_MAX_STEPS == 10**6  # the documented cap
     # min(top, s_max) windows are counted before any is read: 10^21 + 7 has
     # b = 43246886806 and c = 19998666397, so the right side's c - 2
     with monkeypatch.context() as m:
         m.setattr(analysis, "isqrt", lambda x: pytest.fail("read"))
         with pytest.raises(ValueError, match=r"^closure would read 19998666395 windows, "
-                                             r"over the cap of 10000000$"):
+                                             r"over the cap of 1000000$"):
             list(analysis._side_drops(10**12, *_side_args(10**21 + 7)[1]))
     monkeypatch.setattr(analysis, "tau", lambda a, s: pytest.fail("scanned"))
     with pytest.raises(ValueError, match=r"^closure would read 19998666395 windows, "
-                                         r"over the cap of 10000000$"):
+                                         r"over the cap of 1000000$"):
         upward_closure_check(10**21 + 7, 10**12)
     # at a lowered cap a read of the cap runs and one window more is refused:
     # a = 19 = 4^2 + 3 reads left windows 1..3, a = 29 = 5^2 + 4 windows 1..4
@@ -669,3 +669,70 @@ def test_conjecture1_search_refuses_a_table_over_the_cap(monkeypatch):
     for a_max, k_max in ((5, 4), (14, 1), (2, 13)):
         with pytest.raises(ValueError, match="over the cap of 12"):
             conjecture1_search(a_max, k_max, 10)
+
+
+def test_symmetry_verdict_band_is_closed_at_both_ends(monkeypatch):
+    # trough 2 alone matches exactly 1/2; troughs 8..9 at d_max 5 exactly 7/10
+    build = analysis.REPORTS["symmetry"]
+    for n_min, n_max, d_max, exact in ((2, 2, None, "1/2"), (8, 9, 5, "7/10")):
+        rep = build(n_min=n_min, n_max=n_max, d_max=d_max, full_range=False)
+        assert (rep["aggregate"]["exact"], rep["verdict"]) == (exact, "pass"), exact
+    # an aggregate just outside the band proves nothing
+    for agg in (Fraction(49, 100), Fraction(71, 100)):
+        monkeypatch.setattr(analysis, "symmetry_report", lambda **kw: {
+            "per_n": [], "aggregate": agg, "matches": agg.numerator, "comparisons": agg.denominator})
+        rep = build(n_min=2, n_max=2, d_max=None, full_range=False)
+        assert rep["verdict"] == "indeterminate", agg
+
+
+def test_kset_verdict_needs_curve_index_1(monkeypatch):
+    # 1 is in k_set(n) for every n in 2..299, so only a patched set lacks it
+    build = analysis.REPORTS["kset"]
+    rep = build(n=10)
+    assert [f["verdict"] for f in rep["findings"]] == ["pass", "pass"]
+    assert rep["verdict"] == "pass"
+    monkeypatch.setattr(analysis, "k_set", lambda n: {3, 2})
+    rep = build(n=10)
+    assert rep["minimal"] == rep["existential"] == [2, 3]
+    assert [f["verdict"] for f in rep["findings"]] == ["pass", "indeterminate"]
+    assert rep["verdict"] == "indeterminate"
+
+
+def test_offbound_minima_verdict_needs_two_points_around_the_center(monkeypatch):
+    # every n in 7..150 has two sigma = 5 minima around n^2 + n - 1, so the
+    # other shapes come from patched points: n = 7 holds 50..63, center 55
+    build = analysis.REPORTS["offbound"]
+    for minima, verdict in (([54, 57], "pass"), ([50, 52], "indeterminate"),
+                            ([58, 60], "indeterminate"), ([54], "indeterminate"),
+                            ([50, 54, 57], "indeterminate"), ([], "indeterminate")):
+        points = {50: [(a, 5) for a in minima] + [(55, 6)]}
+        monkeypatch.setattr(analysis, "off_bound_points", lambda lo, hi: points.get(lo, []))
+        rep = build(n_from=7, n_to=7)
+        assert rep["peaks"] == [{"n": 7, "a_peak": 55, "sigma_peak": 6, "at_center": True,
+                                 "verdict": "pass"}]
+        assert rep["minima"] == [{"n": 7, "points": minima, "verdict": verdict}], minima
+        assert rep["verdict"] == verdict, minima
+    # the minima are judged from n = 7 on, the peaks from n_from
+    rep = build(n_from=6, n_to=7)
+    assert [e["n"] for e in rep["minima"]] == [7]
+    assert rep["peaks"][0]["n"] == 7  # 6's interval has no patched point
+
+
+def test_conjecture1_and_closure_verdicts(monkeypatch):
+    # a = 3 and 4 are left out, and only a = 6 has a witness
+    assert analysis.REPORTS["conjecture1"](a_max=6, k_max=1, s_max=500) == {
+        "findings": [{"a": 2, "k": 1, "verdict": "indeterminate"},
+                     {"a": 5, "k": 1, "verdict": "indeterminate"},
+                     {"a": 6, "k": 1, "s": 2, "verdict": "pass"}],
+        "indeterminate_count": 2, "verdict": "indeterminate"}
+    # a = 2 = 1^2 + 1 never has one, so only a patched table passes whole
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "conjecture1_search", lambda a_max, k_max, s_max: {6: [2]})
+        rep = analysis.REPORTS["conjecture1"](a_max=6, k_max=1, s_max=500)
+    assert (rep["indeterminate_count"], rep["verdict"]) == (0, "pass")
+    # a = 50 has no drop, and its last possible one lies at s = 13
+    build = analysis.REPORTS["closure"]
+    assert analysis._last_fall(50, 1) == 13
+    assert build(a=50, s_max=13) == {"violations": [], "verdict": "pass"}
+    assert build(a=50, s_max=12) == {"violations": [], "verdict": "indeterminate"}
+    assert build(a=19, s_max=5) == {"violations": [5], "verdict": "fail"}

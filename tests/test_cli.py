@@ -309,7 +309,10 @@ def test_analyze_closure_refuses_a_scan_over_the_cap(capsys, monkeypatch):
     # c - 2 = 19998666395 windows, counted before any is read
     monkeypatch.setattr(analysis, "tau", lambda a, s: pytest.fail("scanned"))
     assert run(capsys, "analyze", "closure", "--a", str(10**21 + 7), "--s-max", str(10**12)) == (
-        2, "", "error: closure would read 19998666395 windows, over the cap of 10000000\n")
+        2, "", "error: closure would read 19998666395 windows, over the cap of 1000000\n")
+    # 10^14 + 10^7 (c - 2 = 9999999) once held some 10^7 drops, 813 MB
+    assert run(capsys, "analyze", "closure", "--a", str(10**14 + 10**7), "--s-max", str(10**15)) == (
+        2, "", "error: closure would read 9999999 windows, over the cap of 1000000\n")
     # 10^24 + 7 has b = 7, so seven left windows answer it
     code, out, err = run(capsys, "analyze", "closure", "--a", str(10**24 + 7), "--s-max", str(10**13))
     rep = json.loads(out)
@@ -323,7 +326,7 @@ def test_analyze_kset(capsys):
     rep = json.loads(out)
     assert rep["minimal"] == [1, 2, 3, 4]
     assert set(rep["minimal"]) <= set(rep["existential"])
-    assert rep["verdict"] in ("pass", "indeterminate")
+    assert rep["verdict"] == "pass"
 
 
 def test_analyze_symmetry(capsys):
@@ -458,8 +461,11 @@ def test_analyze_offbound(capsys):
     code, out, _ = run(capsys, "analyze", "offbound", "--n-from", "7", "--n-to", "8")
     assert code == 0
     rep = json.loads(out)
-    assert [e["points"] for e in rep["minima"]][0] == [54, 57]
-    assert all(e["verdict"] in ("pass", "indeterminate") for e in rep["peaks"])
+    assert [e["points"] for e in rep["minima"]] == [[54, 57], [70, 73]]
+    assert [e["verdict"] for e in rep["minima"]] == ["pass", "pass"]
+    # 8's peak sits at a = 74, off its center 71
+    assert [(e["a_peak"], e["verdict"]) for e in rep["peaks"]] == [(55, "pass"), (74, "indeterminate")]
+    assert rep["verdict"] == "indeterminate"
     # minima start at n = 7, peaks at --n-from
     code, out, _ = run(capsys, "analyze", "offbound", "--n-from", "4", "--n-to", "8")
     rep = json.loads(out)
